@@ -154,14 +154,18 @@ main(int argc, char** argv)
                 mj.ok && mj.all_completed() ? "completed" : "FAILED",
                 mj.jobs.size(), mj.makespan_s,
                 static_cast<unsigned long long>(mj.epochs));
-    suite.shard_barrier_wait_seconds.clear();
+    suite.cluster_coordinator_seconds = mj.coordinator_seconds;
+    suite.cluster_worker_idle_seconds = mj.worker_idle_seconds;
     suite.shard_steals.clear();
-    for (const mapreduce::ShardStats& st : mj.shards) {
-        suite.shard_barrier_wait_seconds.push_back(
-            st.barrier_wait_seconds);
+    for (const mapreduce::ShardStats& st : mj.shards)
         suite.shard_steals.push_back(st.steals);
-    }
     bench::stamp_phase_results(suite);
+    bench::manifest().set("multijob_coordinator_seconds",
+                          suite.cluster_coordinator_seconds);
+    double idle_max = 0.0;
+    for (const double idle : suite.cluster_worker_idle_seconds)
+        idle_max = std::max(idle_max, idle);
+    bench::manifest().set("multijob_worker_idle_max_seconds", idle_max);
 
     bench::manifest().set("demo_workloads",
                           static_cast<std::uint64_t>(names.size()));

@@ -125,19 +125,20 @@ struct SuiteResult
      * across entries is the pool's load imbalance. Bench JSON and run
      * manifests embed these next to the aggregate pool metrics, the
      * same way the sharded cluster engine reports per-shard events
-     * processed and barrier-wait seconds.
+     * processed and per-lane barrier idle seconds.
      */
     std::vector<std::uint64_t> worker_tasks;
     std::vector<double> worker_busy_seconds;
     /**
-     * Per-shard engine stats when a cluster driver ran alongside the
-     * suite (empty otherwise): wall seconds each shard's lane idled at
-     * epoch barriers, and epochs in which a shard was drained by a
-     * worker other than its round-robin home. Filled by the cluster
-     * benches from mapreduce::ShardStats; host-side, never part of
-     * deterministic dumps.
+     * Sharded engine stats when a cluster driver ran alongside the
+     * suite (zero/empty otherwise): the coordinator's serial seconds,
+     * each worker lane's barrier idle seconds, and per shard the epochs
+     * it was drained by a worker other than its round-robin home.
+     * Filled by the cluster benches from mapreduce::MultiJobResult;
+     * host-side, never part of deterministic dumps.
      */
-    std::vector<double> shard_barrier_wait_seconds;
+    double cluster_coordinator_seconds = 0.0;
+    std::vector<double> cluster_worker_idle_seconds;
     std::vector<std::uint64_t> shard_steals;
     /** util::warn messages issued during the suite (bounded ring). */
     std::vector<std::string> warnings;

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <deque>
 #include <limits>
-#include <unordered_map>
 #include <utility>
 
 #include "fault/topology.h"
@@ -79,7 +78,7 @@ packed_iter(std::uint32_t packed)
 }
 
 /** Unique identity of one task attempt across the whole run: the key
-    for stale-message detection and the stateless fault draws. */
+    of the stateless fault draws and the backoff jitter. */
 std::uint64_t
 attempt_key(std::uint32_t job, std::uint32_t iter, bool is_reduce,
             std::uint32_t task, std::uint32_t attempt)
@@ -159,13 +158,13 @@ struct TaskState
     TaskStatus status = TaskStatus::kPending;
     std::uint16_t attempt_no = 0;     ///< launches (incl. killed requeues)
     std::uint16_t attempts_used = 0;  ///< FAILED charges vs max_attempts
-    double done_time = -1.0;
-};
-
-struct RunningRec
-{
-    std::uint32_t node = 0;
-    double grant_time = 0.0;
+    /** The attempt whose report the coordinator still awaits (0 = none):
+        the engine never runs two attempts of one task at once, so this
+        one slot is the task's whole attempt record. */
+    std::uint16_t live_attempt = 0;
+    /** Grant time of live_attempt while it runs; completion time once
+        kDone. A task is never both, so one field keeps this 16 bytes. */
+    double stamp = 0.0;
 };
 
 struct JobState
@@ -259,24 +258,26 @@ struct Sim
     obs::Counter* unblacklist_total = nullptr;
     obs::Gauge* running_gauge = nullptr;
     /** Uplink transfers still draining, per shard: drain-end stamps
-        from kMsgFinish, pruned at each barrier. Depth feeds the
+        of every map kMsgFinish, stale or not (the transfer occupied
+        the link either way), pruned at each barrier. Depth feeds the
         queue-depth gauge and the per-shard trace counter track. */
     std::vector<std::vector<double>> uplink_ends;
     std::vector<std::int64_t> uplink_depth_last;  ///< -1 = never traced
     /** Blacklist span starts per node (-1 = not blacklisted). */
     std::vector<double> blacklist_since;
-    /** Grant instants buffered within a barrier (trace armed): every
-        grant lands at the barrier time, so the observation pass
-        appends them in one bulk call instead of a locked push each. */
-    std::vector<std::uint64_t> grant_tids_local;
-    std::vector<std::uint64_t> grant_tids_remote;
+    /** Grants per job within the current barrier (trace armed): every
+        grant lands at the barrier time on its job's lane, so the
+        observation pass emits one counted instant per job and kind. */
+    std::vector<std::uint32_t> grants_local;
+    std::vector<std::uint32_t> grants_remote;
     std::uint64_t barriers_seen = 0;
 
     std::vector<NodeLocal> nodes;    // shard-owned during epochs
     std::vector<ShardLocal> shards;  // shard-owned during epochs
     std::vector<JobState> jobs;      // coordinator-owned
     std::vector<NodeMirror> mirror;  // coordinator-owned
-    std::unordered_map<std::uint64_t, RunningRec> running_attempts;
+    /** Tasks, over all jobs, with a live attempt record. */
+    std::uint64_t live_records = 0;
     ClusterOutcome out;
     std::uint32_t blacklisted_now = 0;
 
@@ -659,25 +660,29 @@ finish_job(Sim& sim, std::uint32_t j, double time_s, bool completed,
  * Shared cleanup for every terminal message: drop the attempt record,
  * release the slot mirror, and decide whether the message should drive
  * job state (false = stale: a superseded attempt, or a finished job).
- * When `grant_time` is non-null it receives the consumed attempt's
- * grant time (untouched if the record was already gone) -- this lets
- * the armed metrics path reuse the one hash lookup done here.
+ * A report is current iff its iteration and phase are the job's and its
+ * attempt is the task's live one. No record outlives its phase (a phase
+ * advances only once every task is done), finish_job leaves `tasks`
+ * intact so a failed job's late reports still release their slots, and
+ * a master crash clears every record. When `grant_time` is non-null it
+ * receives the consumed attempt's grant time (untouched when stale).
  */
 bool
 consume_terminal(Sim& sim, const ShardMessage& msg,
                  double* grant_time = nullptr)
 {
     const bool is_reduce = (msg.d & kFlagReduce) != 0;
-    const std::uint64_t key =
-        attempt_key(msg.a, packed_iter(msg.d), is_reduce, msg.b,
-                    packed_attempt_no(msg.d));
-    const auto it = sim.running_attempts.find(key);
-    if (it == sim.running_attempts.end())
+    JobState& job = sim.jobs[msg.a];
+    if (packed_iter(msg.d) != job.iter || is_reduce != job.in_reduce)
+        return false;
+    TaskState& task = job.tasks[msg.b];
+    // Packed attempt numbers start at 1, so this also rejects live == 0.
+    if (task.live_attempt != packed_attempt_no(msg.d))
         return false;
     if (grant_time != nullptr)
-        *grant_time = it->second.grant_time;
-    sim.running_attempts.erase(it);
-    JobState& job = sim.jobs[msg.a];
+        *grant_time = task.stamp;
+    task.live_attempt = 0;
+    --sim.live_records;
     if (job.running > 0)
         --job.running;
     NodeMirror& nm = sim.mirror[msg.c];
@@ -692,9 +697,7 @@ consume_terminal(Sim& sim, const ShardMessage& msg,
     }
     if (job.finished)
         return false;
-    DCB_EXPECTS(packed_iter(msg.d) == job.iter);
-    DCB_EXPECTS(is_reduce == job.in_reduce);
-    DCB_EXPECTS(job.tasks[msg.b].status == TaskStatus::kRunning);
+    DCB_EXPECTS(task.status == TaskStatus::kRunning);
     return true;
 }
 
@@ -780,18 +783,20 @@ apply_master_crash(Sim& sim, Coordinator& co, double barrier_s)
                             crash * 1e6,
                             sim.cfg.failover_delay_s * 1e6);
     }
-    for (std::uint32_t j = 0; j < sim.jobs.size(); ++j) {
-        JobState& job = sim.jobs[j];
-        if (!job.admitted || job.finished)
-            continue;
+    // The standby starts with no attempt records at all -- finished
+    // jobs' included -- so every report from before the crash is stale.
+    for (JobState& job : sim.jobs) {
+        const bool active = job.admitted && !job.finished;
         for (std::uint32_t t = 0; t < job.tasks.size(); ++t) {
             TaskState& task = job.tasks[t];
+            task.live_attempt = 0;
+            if (!active)
+                continue;
             if (task.status == TaskStatus::kDone &&
-                task.done_time > checkpoint) {
+                task.stamp > checkpoint) {
                 // Completed after the last checkpoint: the standby
                 // never heard about it, so it runs again.
                 task.status = TaskStatus::kPending;
-                task.done_time = -1.0;
                 --job.done_in_phase;
                 if (job.in_reduce)
                     --job.out.reduces_completed;
@@ -800,18 +805,16 @@ apply_master_crash(Sim& sim, Coordinator& co, double barrier_s)
                 ++sim.out.tasks_lost_to_failover;
                 job.ready.push_back(t);
             } else if (task.status == TaskStatus::kRunning) {
-                const std::uint64_t key = attempt_key(
-                    j, job.iter, job.in_reduce, t, task.attempt_no);
-                const auto it = sim.running_attempts.find(key);
-                if (it != sim.running_attempts.end())
-                    job.out.wasted_task_s += std::max(
-                        0.0, crash - it->second.grant_time);
+                // A running task of an active job always held the
+                // record just cleared; stamp is its grant time.
+                job.out.wasted_task_s += std::max(0.0, crash - task.stamp);
                 requeue_task(job, t);
             }
         }
-        job.running = 0;
+        if (active)
+            job.running = 0;
     }
-    sim.running_attempts.clear();
+    sim.live_records = 0;
     // The mirror's in-flight slots come back once the shards process
     // the kill; until then it under-grants, which is safe.
     for (std::uint32_t s = 0; s < sim.topo.racks(); ++s)
@@ -836,27 +839,20 @@ process_message(Sim& sim, Coordinator& co, const ShardMessage& msg,
 {
     switch (msg.kind) {
       case kMsgFinish: {
-        // Uplink drain bookkeeping happens whether or not the report is
-        // stale: the transfer physically occupied the shared link. The
-        // stamp feeds the per-shard queue-depth gauge/counter track.
-        if (!sim.uplink_ends.empty() && (msg.d & kFlagReduce) == 0 &&
-            msg.y > msg.time)
-            sim.uplink_ends[sim.topo.rack_of(msg.c)].push_back(msg.y);
-        // Grant-to-finish latency: consume_terminal surfaces the grant
-        // time from the attempt record it erases (single hash lookup).
-        double grant_time = -1.0;
+        // Grant-to-finish latency, from the record consume_terminal
+        // drops.
+        double grant_time = 0.0;
         if (!consume_terminal(sim, msg, &grant_time))
             return;
         if (sim.metrics != nullptr) {
             JobMetrics& m = sim.job_metrics[msg.a];
             ++m.completions_tally;
-            if (grant_time >= 0.0)
-                m.latency_batch.push_back(msg.time - grant_time);
+            m.latency_batch.push_back(msg.time - grant_time);
         }
         JobState& job = sim.jobs[msg.a];
         TaskState& task = job.tasks[msg.b];
         task.status = TaskStatus::kDone;
-        task.done_time = msg.time;
+        task.stamp = msg.time;
         ++job.done_in_phase;
         if (job.in_reduce)
             ++job.out.reduces_completed;
@@ -1029,8 +1025,8 @@ grant_pass(Sim& sim, Coordinator& co, double barrier_s)
         std::uint32_t rack = 0;
         for (std::uint32_t off = 0; off < racks && node < 0; ++off) {
             const std::uint32_t r = (preferred + off) % racks;
-            for (std::uint32_t n = sim.topo.rack_begin(r);
-                 n < sim.topo.rack_end(r); ++n) {
+            const std::uint32_t end = sim.topo.rack_end(r);
+            for (std::uint32_t n = sim.topo.rack_begin(r); n < end; ++n) {
                 const NodeMirror& nm = sim.mirror[n];
                 if (!nm.alive || nm.partitioned || nm.blacklisted)
                     continue;
@@ -1066,9 +1062,9 @@ grant_pass(Sim& sim, Coordinator& co, double barrier_s)
         const std::uint32_t packed = pack_attempt(
             ts.attempt_no, job.iter,
             (is_reduce ? kFlagReduce : 0u) | (remote ? kFlagRemote : 0u));
-        sim.running_attempts[attempt_key(
-            static_cast<std::uint32_t>(best), job.iter, is_reduce, task,
-            ts.attempt_no)] = {n, barrier_s};
+        ts.live_attempt = ts.attempt_no;
+        ts.stamp = barrier_s;
+        ++sim.live_records;
         ++job.running;
         if (job.out.first_launch_s < 0.0)
             job.out.first_launch_s = barrier_s;
@@ -1080,16 +1076,15 @@ grant_pass(Sim& sim, Coordinator& co, double barrier_s)
         }
         job.out.max_task_attempts = std::max<std::uint32_t>(
             job.out.max_task_attempts, ts.attempts_used + 1u);
-        co.push(sim.topo.rack_of(n), barrier_s, kEvLaunch,
+        co.push(rack, barrier_s, kEvLaunch,
                 static_cast<std::uint32_t>(best), task, n, packed,
                 nominal);
         if (sim.metrics != nullptr)
             ++sim.job_metrics[static_cast<std::size_t>(best)]
                   .grants_tally;
         if (sim.trace != nullptr)
-            (remote ? sim.grant_tids_remote : sim.grant_tids_local)
-                .push_back(910000 +
-                           static_cast<std::uint64_t>(best));
+            ++(remote ? sim.grants_remote
+                      : sim.grants_local)[static_cast<std::size_t>(best)];
         ++grants;
     }
     return grants;
@@ -1212,7 +1207,7 @@ on_barrier(Sim& sim, double barrier_s,
         co.push(0, wake, kEvWake);
     // Nothing running, nothing granted, nothing scheduled to change:
     // the cluster can no longer serve the remaining work.
-    if (any_active && sim.running_attempts.empty() && grants == 0 &&
+    if (any_active && sim.live_records == 0 && grants == 0 &&
         !std::isfinite(wake) && barrier_s > sim.last_fault_time) {
         for (std::uint32_t j = 0; j < sim.jobs.size(); ++j)
             if (sim.jobs[j].admitted && !sim.jobs[j].finished)
@@ -1264,24 +1259,32 @@ flush_job_metrics(Sim& sim)
  * mutates simulation state.
  */
 void
-observe_barrier(Sim& sim, double barrier_s, std::size_t inbox_size)
+observe_barrier(Sim& sim, double barrier_s,
+                const std::vector<ShardMessage>& inbox)
 {
     const std::uint64_t barrier_index = sim.barriers_seen++;
     if (sim.trace != nullptr) {
-        sim.trace->instants("grant", "sched",
-                            obs::TraceWriter::kClusterPid,
-                            barrier_s * 1e6,
-                            sim.grant_tids_local.data(),
-                            sim.grant_tids_local.size());
-        sim.trace->instants("grant remote", "sched",
-                            obs::TraceWriter::kClusterPid,
-                            barrier_s * 1e6,
-                            sim.grant_tids_remote.data(),
-                            sim.grant_tids_remote.size());
-        sim.grant_tids_local.clear();
-        sim.grant_tids_remote.clear();
+        for (std::uint32_t j = 0; j < sim.grants_local.size(); ++j) {
+            for (const bool remote : {false, true}) {
+                std::uint32_t& n =
+                    (remote ? sim.grants_remote : sim.grants_local)[j];
+                if (n == 0)
+                    continue;
+                char args[32];
+                std::snprintf(args, sizeof args, "{\"grants\": %u}", n);
+                sim.trace->instant(remote ? "grant remote" : "grant",
+                                   "sched", obs::TraceWriter::kClusterPid,
+                                   910000 + j, barrier_s * 1e6, args);
+                n = 0;
+            }
+        }
     }
-    // Uplink transfers that drained by this barrier leave the queue.
+    // This epoch's map outputs join their rack's uplink queue (the
+    // sending shard is the rack); transfers drained by now leave it.
+    for (const ShardMessage& msg : inbox)
+        if (msg.kind == kMsgFinish && (msg.d & kFlagReduce) == 0 &&
+            msg.y > msg.time)
+            sim.uplink_ends[msg.from_shard].push_back(msg.y);
     for (std::uint32_t s = 0; s < sim.uplink_ends.size(); ++s) {
         std::vector<double>& ends = sim.uplink_ends[s];
         ends.erase(std::remove_if(ends.begin(), ends.end(),
@@ -1313,9 +1316,8 @@ observe_barrier(Sim& sim, double barrier_s, std::size_t inbox_size)
         m.uplink_depth->set(
             static_cast<double>(sim.uplink_ends[s].size()));
     }
-    sim.running_gauge->set(
-        static_cast<double>(sim.running_attempts.size()));
-    sim.metrics->snapshot(barrier_index, inbox_size);
+    sim.running_gauge->set(static_cast<double>(sim.live_records));
+    sim.metrics->snapshot(barrier_index, inbox.size());
 }
 
 /** Register every scheduler series up front (before any snapshot). */
@@ -1603,9 +1605,12 @@ MultiJobScheduler::run(const std::vector<JobSubmission>& submissions,
     }
     if (sim.metrics != nullptr)
         arm_metrics(sim, shard_count);
-    if (sim.trace != nullptr)
+    if (sim.trace != nullptr) {
+        sim.grants_local.assign(sim.jobs.size(), 0);
+        sim.grants_remote.assign(sim.jobs.size(), 0);
         sim.trace->name_thread(obs::TraceWriter::kClusterPid, 930000,
                                "coordinator");
+    }
 
     ShardedEngine engine(shard_count, config_.heartbeat_s,
                          sim.plan.seed);
@@ -1700,7 +1705,7 @@ MultiJobScheduler::run(const std::vector<JobSubmission>& submissions,
                          Coordinator& co) {
             const bool keep = on_barrier(sim, barrier_s, inbox, co);
             if (observed)
-                observe_barrier(sim, barrier_s, inbox.size());
+                observe_barrier(sim, barrier_s, inbox);
             return keep;
         },
         options.threads);
@@ -1723,6 +1728,15 @@ MultiJobScheduler::run(const std::vector<JobSubmission>& submissions,
     result.epochs = er.epochs;
     result.events = er.events;
     result.shards = er.shards;
+    result.coordinator_seconds = er.coordinator_seconds;
+    result.worker_idle_seconds = er.worker_idle_seconds;
+    for (std::uint32_t n = 0; n < cluster.slaves; ++n) {
+        const NodeMirror& nm = sim.mirror[n];
+        if (nm.alive)
+            result.mirror_slots_held +=
+                (cluster.map_slots - nm.free_map) +
+                (cluster.reduce_slots - nm.free_reduce);
+    }
     result.cluster = sim.out;
     // Fold the shard-local attempt sketches: shard order per job, then
     // submission order for the cluster sketch. Any other order would
@@ -1784,11 +1798,16 @@ MultiJobScheduler::run(const std::vector<JobSubmission>& submissions,
             l.shard = static_cast<std::int32_t>(s);
             sim.metrics->gauge("dcb_host_shard_busy_seconds", l)
                 ->set(er.shards[s].busy_seconds);
-            sim.metrics
-                ->gauge("dcb_host_shard_barrier_wait_seconds", l)
-                ->set(er.shards[s].barrier_wait_seconds);
             sim.metrics->gauge("dcb_host_shard_steals", l)
                 ->set(static_cast<double>(er.shards[s].steals));
+        }
+        sim.metrics->gauge("dcb_host_coordinator_seconds")
+            ->set(er.coordinator_seconds);
+        for (std::size_t w = 0; w < er.worker_idle_seconds.size(); ++w) {
+            obs::MetricLabels l;
+            l.worker = static_cast<std::int32_t>(w);
+            sim.metrics->gauge("dcb_host_worker_idle_seconds", l)
+                ->set(er.worker_idle_seconds[w]);
         }
     }
     return result;

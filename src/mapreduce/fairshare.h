@@ -178,13 +178,21 @@ struct MultiJobResult
     std::string error;
     std::vector<JobOutcome> jobs;  ///< submission order
     ClusterOutcome cluster;
-    /** Host-side engine stats (events, busy/barrier-wait seconds). */
+    /** Host-side engine stats (events, handler busy seconds). */
     std::vector<ShardStats> shards;
+    /** Host-side, as in EngineResult: the coordinator's serial seconds
+        and each worker lane's barrier idle seconds. Not in dump(). */
+    double coordinator_seconds = 0.0;
+    std::vector<double> worker_idle_seconds;
     /** Simulation-side per-shard utilization (part of dump()). */
     std::vector<ShardUtil> shard_util;
     double makespan_s = 0.0;
     std::uint64_t epochs = 0;
     std::uint64_t events = 0;
+    /** Map + reduce slots the coordinator's mirror still counts as held
+        on alive nodes when the run ends: 0 once every granted attempt's
+        report was consumed. Not in dump(). */
+    std::uint64_t mirror_slots_held = 0;
     /** Cluster-wide attempt durations: per-job merged sketches folded
         in submission order (deterministic, byte-replayable). */
     obs::QuantileSketch attempt_sketch;

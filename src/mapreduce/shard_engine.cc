@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "util/assert.h"
 #include "util/thread_pool.h"
@@ -60,9 +61,8 @@ struct EngineShard
     std::uint64_t next_seq = 0;
     std::uint64_t msg_seq = 0;
     ShardStats stats;
-    /** Epoch-observer scratch: events_processed at epoch start and the
-        simulated time of the last event run this epoch (-1 = idle). */
-    std::uint64_t epoch_mark = 0;
+    /** Simulated time of the last event of the latest epoch in which
+        this shard ran any (read by the epoch observer). */
     double last_event_s = -1.0;
 };
 
@@ -229,6 +229,10 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
         sh.stats.busy_seconds += seconds_since(t0);
     };
 
+    // Host-side idle tally per lane; each lane writes only its own
+    // entry, and the pool's join orders those writes before the read.
+    std::vector<double> idle(workers, 0.0);
+
     // Generation barrier shared with the parked pool workers. The
     // coordinator writes epoch_end then bumps `generation` (release);
     // workers observe the bump (acquire), claim shards through
@@ -248,12 +252,14 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
         for (unsigned w = 0; w < extra_workers; ++w) {
             pool->submit([&, w] {
                 std::uint64_t seen = 0;
+                auto idle_start = std::chrono::steady_clock::now();
                 for (;;) {
                     spin_until([&] {
                         return stopping.load(std::memory_order_acquire) ||
                                generation.load(
                                    std::memory_order_acquire) != seen;
                     });
+                    idle[w + 1] += seconds_since(idle_start);
                     if (stopping.load(std::memory_order_acquire))
                         return;
                     seen = generation.load(std::memory_order_acquire);
@@ -274,6 +280,7 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
                                shard_total) {
                         }
                     }
+                    idle_start = std::chrono::steady_clock::now();
                     workers_done.fetch_add(1,
                                            std::memory_order_acq_rel);
                 }
@@ -281,10 +288,16 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
         }
     }
 
+    // The coordinating thread's serial stretch runs from the end of one
+    // parallel region to the start of the next: two clock reads per
+    // barrier, the first of which also closes lane 0's idle wait.
+    auto serial_start = std::chrono::steady_clock::now();
     const auto run_epoch = [&](double epoch_end) {
+        result.coordinator_seconds += seconds_since(serial_start);
         if (extra_workers == 0) {
             for (std::uint32_t s = 0; s < shard_total; ++s)
                 process_shard(0, s, epoch_end);
+            serial_start = std::chrono::steady_clock::now();
             return;
         }
         epoch_end_shared = epoch_end;
@@ -296,10 +309,14 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
                                    1, std::memory_order_relaxed)) <
                               shard_total;)
             process_shard(0, s, epoch_end);
+        const auto wait_start = std::chrono::steady_clock::now();
         spin_until([&] {
             return workers_done.load(std::memory_order_acquire) ==
                    extra_workers;
         });
+        serial_start = std::chrono::steady_clock::now();
+        idle[0] += std::chrono::duration<double>(serial_start - wait_start)
+                       .count();
     };
     const auto stop_workers = [&] {
         stopping.store(true, std::memory_order_release);
@@ -307,7 +324,6 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
             pool->wait_idle();
     };
 
-    const auto region_start = std::chrono::steady_clock::now();
     Coordinator coordinator(impl_);
     std::vector<ShardMessage> inbox;
     bool keep_going = true;
@@ -316,7 +332,10 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
         coordinator.barrier_ = 0.0;
         keep_going = on_barrier(0.0, inbox, coordinator);
         double prev_barrier = 0.0;
-        std::vector<EpochShardView> views;
+        // Epoch-observer scratch, kept off the shards' cache lines:
+        // events_processed as of the previous barrier, per shard.
+        std::vector<std::uint64_t> marks(shard_total, 0);
+        std::vector<EpochShardView> views(shard_total);
         while (keep_going) {
             double t_min = std::numeric_limits<double>::infinity();
             for (const EngineShard& sh : impl_->shards)
@@ -326,25 +345,19 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
                 break;  // drained, and the coordinator had its say
             const double epoch_end =
                 (std::floor(t_min / lookahead_) + 1.0) * lookahead_;
-            if (epoch_observer_ != nullptr) {
-                for (EngineShard& sh : impl_->shards) {
-                    sh.epoch_mark = sh.stats.events_processed;
-                    sh.last_event_s = -1.0;
-                }
-            }
             run_epoch(epoch_end);
             if (worker_failed.load(std::memory_order_acquire))
                 std::rethrow_exception(worker_error);
             ++result.epochs;
             result.end_time_s = epoch_end;
             if (epoch_observer_ != nullptr) {
-                views.clear();
-                for (const EngineShard& sh : impl_->shards) {
-                    EpochShardView v;
-                    v.events =
-                        sh.stats.events_processed - sh.epoch_mark;
-                    v.last_event_s = sh.last_event_s;
-                    views.push_back(v);
+                for (std::uint32_t s = 0; s < shard_total; ++s) {
+                    const EngineShard& sh = impl_->shards[s];
+                    const std::uint64_t done = sh.stats.events_processed;
+                    views[s].events = done - marks[s];
+                    views[s].last_event_s =
+                        views[s].events > 0 ? sh.last_event_s : -1.0;
+                    marks[s] = done;
                 }
                 epoch_observer_(result.epochs - 1, prev_barrier,
                                 epoch_end, views);
@@ -381,17 +394,14 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
         stop_workers();
         throw;
     }
+    result.coordinator_seconds += seconds_since(serial_start);
     stop_workers();
 
-    const double region_wall = seconds_since(region_start);
+    result.worker_idle_seconds = std::move(idle);
     result.events = 0;
     for (std::uint32_t s = 0; s < shard_total; ++s) {
-        ShardStats stats = impl_->shards[s].stats;
-        if (workers > 1)
-            stats.barrier_wait_seconds =
-                std::max(0.0, region_wall - stats.busy_seconds);
-        result.shards[s] = stats;
-        result.events += stats.events_processed;
+        result.shards[s] = impl_->shards[s].stats;
+        result.events += result.shards[s].events_processed;
     }
     return result;
 }

@@ -83,12 +83,9 @@ struct ShardStats
     /** Deterministic simulation-side tallies. */
     std::uint64_t events_processed = 0;
     std::uint64_t messages_sent = 0;
-    /** Host-side tallies (never part of deterministic dumps): wall
-        seconds inside this shard's event handlers, and wall seconds the
-        shard's lane sat idle while the parallel region ran (the load
-        imbalance the barrier pays for). */
+    /** Host-side (never part of deterministic dumps): wall seconds
+        inside this shard's event handlers. */
     double busy_seconds = 0.0;
-    double barrier_wait_seconds = 0.0;
     /** Host-side: epochs in which this shard was drained by a worker
         other than its round-robin home (shard % workers) -- how often
         the work-stealing claim index rebalanced it. 0 on serial runs. */
@@ -105,6 +102,21 @@ struct EngineResult
     /** True when the event budget stopped the run (livelock guard);
         the model decides how to fail its pending work. */
     bool budget_exceeded = false;
+    /**
+     * Host-side, measured on the coordinating thread: wall seconds of
+     * the serial stretch between parallel regions -- the inbox merge,
+     * the barrier callback, the epoch observer and the next epoch's
+     * grid step. Every worker lane waits through it.
+     */
+    double coordinator_seconds = 0.0;
+    /**
+     * Host-side, one entry per worker lane (lane 0 is the coordinating
+     * thread): wall seconds the lane sat at a barrier with no shard
+     * left to claim. Pool lanes count the coordinator's serial stretch
+     * too; lane 0 counts only its wait for the other lanes. All zero
+     * on a one-lane run.
+     */
+    std::vector<double> worker_idle_seconds;
 };
 
 /**

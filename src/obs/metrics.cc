@@ -36,6 +36,7 @@ render_labels(const MetricLabels& l, bool prom)
     append_label(&body, "node", l.node, prom, &sep);
     append_label(&body, "rack", l.rack, prom, &sep);
     append_label(&body, "shard", l.shard, prom, &sep);
+    append_label(&body, "worker", l.worker, prom, &sep);
     if (body.empty())
         return body;
     return "{" + body + "}";
@@ -70,36 +71,31 @@ void
 Counter::add(double d)
 {
     DCB_EXPECTS(d >= 0.0);
-    std::lock_guard<std::mutex> lock(mutex_);
-    value_ += d;
+    value_.fetch_add(d, std::memory_order_relaxed);
 }
 
 double
 Counter::value() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return value_;
+    return value_.load(std::memory_order_relaxed);
 }
 
 void
 Gauge::set(double v)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    value_ = v;
+    value_.store(v, std::memory_order_relaxed);
 }
 
 void
 Gauge::add(double d)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    value_ += d;
+    value_.fetch_add(d, std::memory_order_relaxed);
 }
 
 double
 Gauge::value() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return value_;
+    return value_.load(std::memory_order_relaxed);
 }
 
 void

@@ -7,9 +7,10 @@
  *
  * Prometheus-shaped observability over the multi-job scheduler: named
  * counter / gauge / histogram series carrying a fixed label set
- * `{node, rack, job, shard}`, rendered as deterministic text exposition
- * and periodically snapshotted into the columnar extent store
- * (time_series.h / extent.h), one snapshot row per scheduler barrier.
+ * `{node, rack, job, shard, worker}`, rendered as deterministic text
+ * exposition and periodically snapshotted into the columnar extent
+ * store (time_series.h / extent.h), one snapshot row per scheduler
+ * barrier.
  *
  * Determinism contract: rendering and snapshot bytes are a pure
  * function of the sequence of metric updates. The cluster wiring
@@ -17,10 +18,10 @@
  * fixed shard/job order, so serial, sharded and replayed runs produce
  * byte-identical Prometheus text and snapshot series at any thread
  * count (tests/metrics_test.cc). The registry itself is thread-safe --
- * registration and rendering take the registry mutex, series updates a
- * tiny per-series mutex -- but concurrent updates trade away
- * byte-determinism (floating-point accumulation order), which is why
- * the cluster never issues them.
+ * registration and rendering take the registry mutex, counters and
+ * gauges are relaxed atomics, histograms take a per-series mutex -- but
+ * concurrent updates trade away byte-determinism (floating-point
+ * accumulation order), which is why the cluster never issues them.
  *
  * Snapshot rows preserve the extent store's exact-sum invariant:
  * counter columns record fit_delta()-nudged deltas, so the running sum
@@ -30,12 +31,14 @@
  * the Greenwald-Khanna rank-error invariant from the on-disk bytes.
  *
  * Label cardinality is bounded by construction: labels are small
- * integer ids (node/rack/shard indices, job submission order), the key
- * space is the simulated cluster topology (O(nodes + racks + jobs +
- * shards) series, no unbounded strings), and the snapshot column set is
- * frozen at the first snapshot.
+ * integer ids (node/rack/shard/worker indices, job submission order),
+ * the key space is the simulated cluster topology (O(nodes + racks +
+ * jobs + shards) series, plus host-side series per engine worker, no
+ * unbounded strings), and the snapshot column set is frozen at the
+ * first snapshot.
  */
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -62,6 +65,7 @@ struct MetricLabels
     std::int32_t rack = -1;
     std::int32_t job = -1;
     std::int32_t shard = -1;
+    std::int32_t worker = -1;  ///< host-side engine worker lane
 
     /** Prometheus label block, empty string when no label is set. */
     std::string render() const;
@@ -80,8 +84,7 @@ class Counter
   private:
     friend class MetricsRegistry;
     Counter() = default;
-    mutable std::mutex mutex_;
-    double value_ = 0.0;
+    std::atomic<double> value_{0.0};
 };
 
 /** Point-in-time gauge. */
@@ -95,8 +98,7 @@ class Gauge
   private:
     friend class MetricsRegistry;
     Gauge() = default;
-    mutable std::mutex mutex_;
-    double value_ = 0.0;
+    std::atomic<double> value_{0.0};
 };
 
 /**

@@ -100,38 +100,6 @@ TraceWriter::instant(std::string_view name, std::string_view cat,
 }
 
 void
-TraceWriter::instants(std::string_view name, std::string_view cat,
-                      std::uint32_t pid, double ts_us,
-                      const std::uint64_t* tids, std::size_t n)
-{
-    if (n == 0)
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    const std::uint32_t name_off = intern(name);
-    const std::uint32_t cat_off = intern(cat);
-    const std::uint32_t args_off = intern({});
-    for (std::size_t i = 0; i < n; ++i) {
-        if (chunks_.empty() || chunks_.back().size() == kChunkEvents) {
-            chunks_.emplace_back();
-            chunks_.back().reserve(kChunkEvents);
-        }
-        Record& r = chunks_.back().emplace_back();
-        r.name_off = name_off;
-        r.name_len = static_cast<std::uint16_t>(name.size());
-        r.cat_off = cat_off;
-        r.cat_len = static_cast<std::uint16_t>(cat.size());
-        r.args_off = args_off;
-        r.args_len = 0;
-        r.pid = static_cast<std::uint8_t>(pid);
-        r.ph = 'i';
-        r.tid = static_cast<std::uint32_t>(tids[i]);
-        r.ts_us = ts_us;
-        r.dur_us = 0.0;
-    }
-    event_count_ += n;
-}
-
-void
 TraceWriter::counter(std::string_view name, std::string_view cat,
                      std::uint32_t pid, std::uint64_t tid, double ts_us,
                      std::string_view series, double value)

@@ -31,8 +31,8 @@ namespace dcb::obs {
 /**
  * Thread-safe collector of trace events with JSON export.
  *
- * The collector sits on the cluster scheduler's hot path (one instant
- * per task grant at 512-node scale is ~10^5 events per run), so events
+ * The collector sits on the cluster scheduler's barrier path (a span
+ * per shard per epoch, grant instants, uplink counters), so events
  * are stored as fixed-size POD records whose text fields live in one
  * append-only arena: recording an event is a mutex acquire, three
  * small memcpys and a trivially-copyable push_back -- no per-event
@@ -64,17 +64,6 @@ class TraceWriter
     void instant(std::string_view name, std::string_view cat,
                  std::uint32_t pid, std::uint64_t tid, double ts_us,
                  std::string_view args_json = {});
-
-    /**
-     * One instant per tid, all sharing the same name, category and
-     * timestamp, appended under a single lock. This is the fair-share
-     * grant burst: every grant in a barrier lands at the barrier time,
-     * so batching turns ~10^5 locked pushes per run into one per
-     * barrier.
-     */
-    void instants(std::string_view name, std::string_view cat,
-                  std::uint32_t pid, double ts_us,
-                  const std::uint64_t* tids, std::size_t n);
 
     /**
      * Counter event (a sampled value the trace UI plots as a track):
@@ -120,9 +109,9 @@ class TraceWriter
     };
 
     /** Append `s` to arena_ and return its offset (lock held). Repeat
-        emissions of the same string literal (the hot case: "grant" /
-        "sched" at every fair-share grant) hit a tiny pointer-keyed
-        cache and share one arena entry. */
+        emissions of the same string literal (the hot case: "wait" /
+        "barrier-wait" for every shard at every epoch) hit a tiny
+        pointer-keyed cache and share one arena entry. */
     std::uint32_t intern(std::string_view s);
     void push(std::string_view name, std::string_view cat, char ph,
               std::uint32_t pid, std::uint64_t tid, double ts_us,

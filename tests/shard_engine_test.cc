@@ -1,9 +1,12 @@
 /** @file Tests for the sharded engine and the multi-job scheduler:
     deterministic merge order, serial-vs-sharded bit-identity with and
-    without correlated faults, per-shard RNG independence. */
+    without correlated faults, pinned dump hashes, stale-report
+    handling, per-shard RNG independence, host-time accounting. */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "mapreduce/fairshare.h"
 #include "mapreduce/scheduler.h"
 #include "mapreduce/shard_engine.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace dcb::mapreduce {
@@ -148,6 +152,18 @@ TEST(ShardEngine, PerShardRngStreamsIndependent)
 
 // ---- Multi-job fair-share scheduler ---------------------------------
 
+/** FNV-1a over a dump: pins MultiJobResult::dump() byte for byte. */
+std::uint64_t
+fnv1a(const std::string& text)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
 ClusterConfig
 cluster_256x16()
 {
@@ -230,6 +246,8 @@ TEST(MultiJob, FaultFreeSerialVsShardedBitIdentical)
     ASSERT_TRUE(serial.ok) << serial.error;
     ASSERT_TRUE(serial.all_completed());
     EXPECT_EQ(serial.dump(), sharded.dump());
+    // Pinned: the coordinator's bookkeeping may change, its output not.
+    EXPECT_EQ(fnv1a(serial.dump()), 0x0203ec81c786f794ULL);
     const ClusterConfig cluster = cluster_256x16();
     const std::vector<JobSubmission> subs = mixed_submissions();
     for (std::size_t j = 0; j < subs.size(); ++j) {
@@ -260,6 +278,7 @@ TEST(MultiJob, CorrelatedFaultsSerialVsShardedBitIdentical)
     ASSERT_TRUE(serial.ok) << serial.error;
     EXPECT_EQ(serial.dump(), sharded.dump());
     EXPECT_EQ(serial.dump(), replay.dump());
+    EXPECT_EQ(fnv1a(serial.dump()), 0x164b30589ee3508cULL);
     EXPECT_GE(serial.cluster.nodes_lost, 17u);  // rack (>=16) + node
     EXPECT_EQ(serial.cluster.racks_lost, 1u);
     EXPECT_EQ(serial.cluster.partitions, 1u);
@@ -269,6 +288,160 @@ TEST(MultiJob, CorrelatedFaultsSerialVsShardedBitIdentical)
     for (const JobOutcome& job : serial.jobs)
         failures += job.task_failures;
     EXPECT_GT(failures, 0u);
+}
+
+/** Runs `subs` serially and sharded with metrics armed, checks the two
+    dumps agree, and returns the serial result. Both runs must end with
+    no attempt record left and every alive node's mirror slots free. */
+MultiJobResult
+run_and_check_released(const std::vector<JobSubmission>& subs,
+                       const ClusterConfig& cluster,
+                       const FairShareConfig& config,
+                       const fault::FaultPlan& plan)
+{
+    MultiJobResult first;
+    for (const unsigned threads : {1u, 4u}) {
+        fault::FaultInjector injector(plan);
+        obs::MetricsRegistry registry;
+        MultiJobOptions options;
+        options.threads = threads;
+        options.injector = &injector;
+        options.metrics = &registry;
+        const MultiJobResult result =
+            MultiJobScheduler(config).run(subs, cluster, options);
+        EXPECT_TRUE(result.ok) << result.error;
+        EXPECT_EQ(result.mirror_slots_held, 0u) << threads;
+        EXPECT_EQ(registry.gauge("dcb_cluster_running_attempts")->value(),
+                  0.0)
+            << threads;
+        if (threads == 1)
+            first = result;
+        else
+            EXPECT_EQ(first.dump(), result.dump());
+    }
+    return first;
+}
+
+/**
+ * A master crash lands inside the epoch in which the whole first map
+ * wave reports. The reports stamped after the crash reach the same
+ * barrier but are stale -- the standby holds no attempt records -- so
+ * every map runs twice, each first attempt is wasted up to the crash,
+ * and no slot stays counted as held.
+ */
+TEST(MultiJob, ReportsAfterMasterCrashInSameBarrierAreStale)
+{
+    ClusterConfig cluster;
+    cluster.slaves = 8;
+    cluster.racks = 2;
+    std::vector<JobSubmission> subs(1);
+    subs[0].spec = small_job("crash", 4.0);
+    const FairShareConfig config;
+    const TaskProfile profile = derive_task_profile(subs[0].spec, cluster);
+    // Every map fits at once (and on its preferred rack), so the whole
+    // first wave is granted at t=0 and finishes at exactly map_task_s.
+    ASSERT_LE(profile.map_count, cluster.slaves * cluster.map_slots / 2);
+    fault::FaultPlan plan;
+    plan.master_crash_time_s = profile.map_task_s - 0.01;
+    ASSERT_EQ(std::floor(plan.master_crash_time_s / config.heartbeat_s),
+              std::floor(profile.map_task_s / config.heartbeat_s));
+
+    const MultiJobResult result =
+        run_and_check_released(subs, cluster, config, plan);
+    const JobOutcome& job = result.jobs[0];
+    EXPECT_TRUE(job.completed) << job.error;
+    EXPECT_EQ(result.cluster.master_failovers, 1u);
+    EXPECT_EQ(job.maps_completed, profile.map_count);
+    EXPECT_EQ(job.local_map_launches + job.remote_map_launches,
+              2u * profile.map_count);
+    EXPECT_DOUBLE_EQ(job.wasted_task_s,
+                     profile.map_count * plan.master_crash_time_s);
+}
+
+/**
+ * A job runs out of attempts while its sibling maps still run. It
+ * fails at once, but its tasks keep their attempt records: the
+ * siblings' late reports still release their slots, so the other job
+ * keeps the cluster busy and completes with nothing left held. The
+ * second pass adds a master crash in the epoch of those late reports,
+ * just before them: the standby holds no records for the failed job
+ * either, so they are stale.
+ */
+TEST(MultiJob, FailedJobsLateReportsReleaseTheirSlots)
+{
+    ClusterConfig cluster;
+    cluster.slaves = 16;
+    cluster.racks = 2;
+    std::vector<JobSubmission> subs(2);
+    subs[0].spec = small_job("wide", 16.0);
+    subs[1].spec = small_job("long", 1.0);
+    subs[1].spec.total_instructions_g = 4000.0;  // outlasts "wide"
+    subs[1].spec.iterations = 2;
+    FairShareConfig config;
+    config.max_attempts = 1;
+    fault::FaultPlan plan;
+    plan.seed = 1;
+    plan.task_crash_prob = 0.01;
+    const TaskProfile wide = derive_task_profile(subs[0].spec, cluster);
+
+    for (const bool master_crash : {false, true}) {
+        SCOPED_TRACE(master_crash ? "with master crash" : "no crash");
+        const MultiJobResult result =
+            run_and_check_released(subs, cluster, config, plan);
+        // The failing crash struck inside the first map wave, with
+        // every other map of the job still running.
+        EXPECT_FALSE(result.jobs[0].completed);
+        EXPECT_NE(result.jobs[0].error.find("out of attempts"),
+                  std::string::npos);
+        EXPECT_EQ(result.jobs[0].maps_completed, 0u);
+        EXPECT_LT(result.jobs[0].finish_s, wide.map_task_s);
+        EXPECT_TRUE(result.jobs[1].completed) << result.jobs[1].error;
+        EXPECT_GT(result.jobs[1].finish_s, wide.map_task_s);
+        EXPECT_EQ(result.cluster.master_failovers, master_crash ? 1u : 0u);
+        // Next pass: crash in the late reports' epoch, just before them.
+        plan.master_crash_time_s = wide.map_task_s - 0.01;
+        ASSERT_EQ(
+            std::floor(plan.master_crash_time_s / config.heartbeat_s),
+            std::floor(wide.map_task_s / config.heartbeat_s));
+    }
+}
+
+/**
+ * Reports held behind a partition outlive a master crash: the standby
+ * re-grants those tasks as new attempts elsewhere, and when the
+ * partition heals the held reports of the old attempts arrive with the
+ * right iteration and phase but a superseded attempt number. They are
+ * stale; only the new attempts complete the tasks.
+ */
+TEST(MultiJob, HeldReportsOfSupersededAttemptsAreStale)
+{
+    ClusterConfig cluster;
+    cluster.slaves = 8;
+    cluster.racks = 2;
+    std::vector<JobSubmission> subs(1);
+    subs[0].spec = small_job("held", 4.0);
+    const FairShareConfig config;
+    const TaskProfile profile = derive_task_profile(subs[0].spec, cluster);
+    fault::FaultPlan plan;
+    plan.partition_rack = 1;
+    plan.partition_time_s = 1.0;
+    // The crash comes after rack 1's first wave finished behind the
+    // partition; the heal lands while the re-granted attempts run.
+    plan.master_crash_time_s = profile.map_task_s + 5.0;
+    const double regrant =
+        plan.master_crash_time_s + config.failover_delay_s;
+    plan.partition_duration_s =
+        regrant + profile.map_task_s / 2.0 - plan.partition_time_s;
+
+    const MultiJobResult result =
+        run_and_check_released(subs, cluster, config, plan);
+    const JobOutcome& job = result.jobs[0];
+    EXPECT_TRUE(job.completed) << job.error;
+    EXPECT_EQ(result.cluster.master_failovers, 1u);
+    EXPECT_EQ(result.cluster.partition_heals, 1u);
+    EXPECT_EQ(job.maps_completed, profile.map_count);
+    // Rack 1's maps ran twice: once held, once re-granted off-rack.
+    EXPECT_GT(job.remote_map_launches, 0u);
 }
 
 /** Hung attempts hold their slot until the watchdog reclaims them;
@@ -353,6 +526,46 @@ TEST(MultiJob, ShardUtilizationSurfaced)
     EXPECT_GT(heartbeats, 0u);
     EXPECT_EQ(events, result.events);
     EXPECT_NE(result.dump().find("heartbeats="), std::string::npos);
+}
+
+/**
+ * Host-side accounting is measured, not derived: one idle entry per
+ * worker lane, each bounded by the run's wall time (the old per-shard
+ * "barrier wait" summed to many times it), the coordinator's serial
+ * seconds likewise, and both exported as dcb_host_* gauges.
+ */
+TEST(MultiJob, HostAccountingIsMeasuredPerLane)
+{
+    for (const unsigned threads : {1u, 4u}) {
+        obs::MetricsRegistry registry;
+        MultiJobOptions options;
+        options.threads = threads;
+        options.metrics = &registry;
+        const auto start = std::chrono::steady_clock::now();
+        const MultiJobResult result = MultiJobScheduler().run(
+            mixed_submissions(), cluster_256x16(), options);
+        const double wall = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+        ASSERT_TRUE(result.ok) << result.error;
+        ASSERT_EQ(result.worker_idle_seconds.size(), threads);
+        EXPECT_GT(result.coordinator_seconds, 0.0);
+        EXPECT_LE(result.coordinator_seconds, wall);
+        for (const double idle : result.worker_idle_seconds) {
+            EXPECT_GE(idle, 0.0);
+            EXPECT_LE(idle, wall);
+        }
+        if (threads == 1) {
+            EXPECT_EQ(result.worker_idle_seconds[0], 0.0);
+        }
+        const std::string prom = registry.render_prometheus();
+        EXPECT_NE(prom.find("dcb_host_coordinator_seconds "),
+                  std::string::npos);
+        EXPECT_NE(prom.find("dcb_host_worker_idle_seconds{worker=\"" +
+                            std::to_string(threads - 1) + "\"}"),
+                  std::string::npos);
+        EXPECT_EQ(prom.find("barrier_wait"), std::string::npos);
+    }
 }
 
 /** Config and submission errors are reported, never fatal. */
