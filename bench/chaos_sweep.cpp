@@ -422,6 +422,7 @@ sweep_json(const SweepState& state, std::uint32_t scenarios,
     manifest.set("backoff_jitter", policy.backoff_jitter);
     manifest.set("checkpoint_interval_s", policy.checkpoint_interval_s);
     manifest.set("failover_delay_s", policy.failover_delay_s);
+    manifest.add_host_info();
 
     std::string out = "{\n";
     out += "  \"scenarios\": " + std::to_string(scenarios) + ",\n";

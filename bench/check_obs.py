@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate dcbench observability artifacts (CI gate).
 
-Six subcommands, all exiting nonzero with a diagnostic on failure:
+Seven subcommands, all exiting nonzero with a diagnostic on failure:
 
   check_obs.py telemetry FILE [FILE...]
       Every additive column of each <workload>.telemetry.json must sum
@@ -50,6 +50,12 @@ Six subcommands, all exiting nonzero with a diagnostic on failure:
 
   check_obs.py manifest FILE [KEY...]
       FILE must parse as one flat JSON object and contain every KEY.
+
+  check_obs.py bench FILE [FILE...]
+      Each FILE is a BENCH_*.json artifact: it must parse as a JSON
+      object whose "manifest" object records the host and build it was
+      measured on (build_type, compiler, hardware_concurrency), so
+      numbers from different hosts are never compared blind.
 
 Both C++ and this script accumulate in IEEE-754 binary64 left to
 right, so "exact" means Python's float sum reproduces the C++ total
@@ -616,6 +622,24 @@ def check_manifest(path, required_keys):
     print(f"check_obs: OK: {path}: {len(doc)} manifest entries")
 
 
+BENCH_HOST_KEYS = ("build_type", "compiler", "hardware_concurrency")
+
+
+def check_bench(paths):
+    for path in paths:
+        with open(path) as f:
+            doc = json.load(f)
+        manifest = doc.get("manifest") if isinstance(doc, dict) else None
+        if not isinstance(manifest, dict):
+            fail(f"{path}: no manifest object")
+        missing = [k for k in BENCH_HOST_KEYS if k not in manifest]
+        if missing:
+            fail(f"{path}: manifest lacks {', '.join(missing)}")
+        print(f"check_obs: OK: {path}: {manifest['build_type']}, "
+              f"{manifest['compiler']}, "
+              f"{manifest['hardware_concurrency']} hardware threads")
+
+
 def main(argv):
     if len(argv) < 3:
         print(__doc__, file=sys.stderr)
@@ -633,6 +657,8 @@ def main(argv):
         check_trace(args[0], args[1:])
     elif mode == "manifest":
         check_manifest(args[0], args[1:])
+    elif mode == "bench":
+        check_bench(args)
     else:
         fail(f"unknown mode '{mode}'")
     return 0

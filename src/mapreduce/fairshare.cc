@@ -129,7 +129,8 @@ struct DeferredMsg
     double x = 0.0, y = 0.0;
 };
 
-struct ShardLocal
+/** Cache-line aligned: workers write neighbouring shards concurrently. */
+struct alignas(64) ShardLocal
 {
     std::uint32_t node_begin = 0;
     std::uint32_t node_end = 0;
@@ -994,28 +995,32 @@ std::uint64_t
 grant_pass(Sim& sim, Coordinator& co, double barrier_s)
 {
     const std::uint32_t racks = sim.topo.racks();
-    std::vector<char> stalled(sim.jobs.size(), 0);
+    // Deficit pick: the runnable job with the least running work per
+    // unit weight, ties to the earliest submission -- the minimum of
+    // (share, job) in a min-heap. Only the granted job's share moves
+    // within a pass, so it alone re-enters, with its new share, while
+    // it has ready work; a job that finds no free slot stalls and
+    // leaves for the rest of the pass.
+    using Pick = std::pair<double, std::uint32_t>;
+    const auto share_of = [](const JobState& job) {
+        return static_cast<double>(job.running) / job.sub.weight;
+    };
+    std::vector<Pick> picks;
+    picks.reserve(sim.jobs.size());
+    for (std::uint32_t j = 0; j < sim.jobs.size(); ++j) {
+        const JobState& job = sim.jobs[j];
+        if (job.admitted && !job.finished && !job.ready.empty())
+            picks.emplace_back(share_of(job), j);
+    }
+    std::make_heap(picks.begin(), picks.end(), std::greater<>());
     std::uint64_t grants = 0;
-    for (;;) {
-        // Deficit pick: the runnable job with the least running work
-        // per unit weight (ties to the earliest submission).
-        std::int64_t best = -1;
-        double best_share = kInf;
-        for (std::uint32_t j = 0; j < sim.jobs.size(); ++j) {
-            const JobState& job = sim.jobs[j];
-            if (!job.admitted || job.finished || stalled[j] ||
-                job.ready.empty())
-                continue;
-            const double share =
-                static_cast<double>(job.running) / job.sub.weight;
-            if (share < best_share) {
-                best_share = share;
-                best = j;
-            }
-        }
-        if (best < 0)
-            break;
-        JobState& job = sim.jobs[static_cast<std::size_t>(best)];
+    // An infinite share is never picked (a job whose tiny weight
+    // overflows it), and nothing after it can be.
+    while (!picks.empty() && picks.front().first < kInf) {
+        std::pop_heap(picks.begin(), picks.end(), std::greater<>());
+        const std::uint32_t best = picks.back().second;
+        picks.pop_back();
+        JobState& job = sim.jobs[best];
         const std::uint32_t task = job.ready.front();
         const bool is_reduce = job.in_reduce;
         // Rack-aware placement: the task's preferred rack first (input
@@ -1037,10 +1042,8 @@ grant_pass(Sim& sim, Coordinator& co, double barrier_s)
                 break;
             }
         }
-        if (node < 0) {
-            stalled[static_cast<std::size_t>(best)] = 1;
-            continue;
-        }
+        if (node < 0)
+            continue;  // stalled
         job.ready.pop_front();
         const auto n = static_cast<std::uint32_t>(node);
         NodeMirror& nm = sim.mirror[n];
@@ -1076,16 +1079,17 @@ grant_pass(Sim& sim, Coordinator& co, double barrier_s)
         }
         job.out.max_task_attempts = std::max<std::uint32_t>(
             job.out.max_task_attempts, ts.attempts_used + 1u);
-        co.push(rack, barrier_s, kEvLaunch,
-                static_cast<std::uint32_t>(best), task, n, packed,
+        co.push(rack, barrier_s, kEvLaunch, best, task, n, packed,
                 nominal);
         if (sim.metrics != nullptr)
-            ++sim.job_metrics[static_cast<std::size_t>(best)]
-                  .grants_tally;
+            ++sim.job_metrics[best].grants_tally;
         if (sim.trace != nullptr)
-            ++(remote ? sim.grants_remote
-                      : sim.grants_local)[static_cast<std::size_t>(best)];
+            ++(remote ? sim.grants_remote : sim.grants_local)[best];
         ++grants;
+        if (!job.ready.empty()) {
+            picks.emplace_back(share_of(job), best);
+            std::push_heap(picks.begin(), picks.end(), std::greater<>());
+        }
     }
     return grants;
 }

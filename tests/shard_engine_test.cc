@@ -8,7 +8,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
@@ -129,6 +132,121 @@ TEST(ShardEngine, EpochGridSkipsEmptyCells)
     EXPECT_EQ(result.epochs, 2u);
     EXPECT_EQ(result.events, 2u);
     EXPECT_DOUBLE_EQ(result.end_time_s, 101.0);
+}
+
+/** One queue operation on a shard, as the queue-order test logs it. */
+struct QueueOp
+{
+    bool push = false;  ///< else a delivery
+    double time = 0.0;
+    std::uint64_t seq = 0;
+    bool operator==(const QueueOp&) const = default;
+};
+
+/**
+ * Queue-order property: handlers push a seeded mix of equal-time ties,
+ * events inside the current epoch, exactly-one-lookahead chains and far
+ * events, and the coordinator pushes at and after each barrier. Every
+ * shard must deliver in strict (time, seq) order, exactly as a plain
+ * std::priority_queue replay of the same pushes does, and a 4-thread
+ * run must log the same operations as a 1-thread run.
+ */
+TEST(ShardEngine, QueueDeliversHeapOrderForAnyPushMix)
+{
+    constexpr std::uint32_t kShards = 4;
+    constexpr double kLookahead = 1.0;
+    constexpr std::uint32_t kChain = 1;  // b = hops left
+    constexpr std::uint32_t kLeaf = 2;
+    const auto run_model = [&](unsigned threads) {
+        ShardedEngine engine(kShards, kLookahead, 2024);
+        // Per shard: the seq the next push will get, and the op log.
+        std::vector<std::uint64_t> next_seq(kShards, 0);
+        std::vector<std::vector<QueueOp>> log(kShards);
+        const auto logged = [&](std::uint32_t s, double time) {
+            log[s].push_back({true, time, next_seq[s]});
+            return static_cast<std::uint32_t>(next_seq[s]++);
+        };
+        for (std::uint32_t s = 0; s < kShards; ++s)
+            for (std::uint32_t i = 0; i < 40; ++i) {
+                const double t = 0.01 * i;
+                engine.seed_event(s, t, kChain, logged(s, t), 60);
+            }
+        util::Rng coordinator_rng(77);
+        engine.run(
+            [&](std::uint32_t s, const ShardEvent& ev, ShardApi& api) {
+                EXPECT_EQ(ev.seq, ev.a);  // the log's seq bookkeeping
+                log[s].push_back({false, ev.time, ev.seq});
+                const auto push = [&](double t, std::uint32_t kind,
+                                      std::uint32_t hops = 0) {
+                    api.push(t, kind, logged(s, t), hops);
+                };
+                util::Rng& rng = api.rng();
+                const double now = api.now();
+                if (ev.kind == kChain && ev.b > 0)
+                    push(now + kLookahead, kChain, ev.b - 1);
+                const double u = rng.next_double();
+                if (u < 0.25) {
+                    push(now, kLeaf);  // tie with the running event
+                } else if (u < 0.5) {
+                    push(now + (api.epoch_end() - now) *
+                                   rng.next_double(),
+                         kLeaf);
+                } else if (u < 0.6) {
+                    const double far = 2.0 + 10.0 * rng.next_double();
+                    push(now + kLookahead * far, kLeaf);
+                } else if (u < 0.75) {
+                    const double t = now + kLookahead * rng.next_double();
+                    push(t, kLeaf);
+                    push(t, kLeaf);  // tie among the new events
+                }
+            },
+            [&](double barrier_s, const std::vector<ShardMessage>&,
+                Coordinator& co) {
+                if (barrier_s > 50.0)
+                    return true;
+                for (std::uint32_t s = 0; s < kShards; ++s) {
+                    const std::uint32_t n =
+                        1 + static_cast<std::uint32_t>(
+                                coordinator_rng.next_double() * 6.0);
+                    for (std::uint32_t i = 0; i < n; ++i) {
+                        double t = barrier_s;
+                        if (i % 3 == 2)  // after the barrier
+                            t += 3.0 * kLookahead *
+                                 coordinator_rng.next_double();
+                        co.push(s, t, kLeaf, logged(s, t));
+                    }
+                }
+                return true;
+            },
+            threads);
+        return log;
+    };
+
+    const std::vector<std::vector<QueueOp>> serial = run_model(1);
+    for (std::uint32_t s = 0; s < kShards; ++s) {
+        using Key = std::pair<double, std::uint64_t>;
+        std::priority_queue<Key, std::vector<Key>, std::greater<>> ref;
+        Key last{-1.0, 0};
+        std::size_t delivered = 0;
+        for (const QueueOp& op : serial[s]) {
+            if (op.push) {
+                ref.emplace(op.time, op.seq);
+                continue;
+            }
+            const Key got{op.time, op.seq};
+            ASSERT_FALSE(ref.empty()) << "shard " << s;
+            ASSERT_EQ(got, ref.top())
+                << "shard " << s << " delivery " << delivered;
+            ref.pop();
+            if (delivered++ > 0) {
+                ASSERT_LT(last, got) << "shard " << s;
+            }
+            last = got;
+        }
+        EXPECT_TRUE(ref.empty()) << "shard " << s;
+        EXPECT_GT(delivered, 2400u) << "shard " << s;
+    }
+    EXPECT_EQ(serial, run_model(4));
 }
 
 /** Per-shard streams: reproducible per stream id, distinct across ids. */
@@ -288,6 +406,56 @@ TEST(MultiJob, CorrelatedFaultsSerialVsShardedBitIdentical)
     for (const JobOutcome& job : serial.jobs)
         failures += job.task_failures;
     EXPECT_GT(failures, 0u);
+}
+
+/**
+ * A saturated fleet: twelve jobs with weights 1-3 and staggered submits
+ * queue several times the cluster's map slots, so every grant pass
+ * runs out of free slots with work left (stalls) and new jobs join at
+ * equal zero shares (ties). The pinned hash holds the fair-share picks
+ * of exactly this contention byte for byte.
+ */
+TEST(MultiJob, SaturatedFleetSerialVsShardedBitIdentical)
+{
+    ClusterConfig cluster;
+    cluster.slaves = 128;
+    cluster.racks = 8;
+    std::vector<JobSubmission> subs;
+    for (std::uint32_t j = 0; j < 12; ++j) {
+        JobSubmission sub;
+        sub.spec = small_job("saturated", 48.0 + 16.0 * (j % 4));
+        sub.spec.map_output_ratio = (j % 3 == 0) ? 0.8 : 0.2;
+        sub.submit_time_s = 2.0 * j;
+        sub.weight = 1.0 + (j % 3);
+        subs.push_back(sub);
+    }
+    std::uint64_t maps = 0;
+    for (const JobSubmission& sub : subs)
+        maps += expected_task_counts(sub.spec, cluster).maps;
+    ASSERT_GT(maps, 3u * cluster.slaves * cluster.map_slots);
+
+    FairShareConfig config;
+    config.attempt_jitter_sigma = 0.25;
+    fault::FaultPlan plan;
+    plan.seed = 0x5A7;
+    MultiJobResult first;
+    for (const unsigned threads : {1u, 4u}) {
+        fault::FaultInjector injector(plan);
+        MultiJobOptions options;
+        options.threads = threads;
+        options.injector = &injector;
+        const MultiJobResult result =
+            MultiJobScheduler(config).run(subs, cluster, options);
+        ASSERT_TRUE(result.all_completed()) << result.error;
+        if (threads == 1)
+            first = result;
+        else
+            EXPECT_EQ(first.dump(), result.dump());
+    }
+    // Every job still had work queued when the next one arrived.
+    for (std::size_t j = 0; j + 1 < subs.size(); ++j)
+        EXPECT_GT(first.jobs[j].finish_s, subs[j + 1].submit_time_s) << j;
+    EXPECT_EQ(fnv1a(first.dump()), 0xe815c4307471b474ULL);
 }
 
 /** Runs `subs` serially and sharded with metrics armed, checks the two
