@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate dcbench observability artifacts (CI gate).
 
-Seven subcommands, all exiting nonzero with a diagnostic on failure:
+Eight subcommands, all exiting nonzero with a diagnostic on failure:
 
   check_obs.py telemetry FILE [FILE...]
       Every additive column of each <workload>.telemetry.json must sum
@@ -56,6 +56,12 @@ Seven subcommands, all exiting nonzero with a diagnostic on failure:
       object whose "manifest" object records the host and build it was
       measured on (build_type, compiler, hardware_concurrency), so
       numbers from different hosts are never compared blind.
+
+  check_obs.py same COMMITTED FRESH
+      Two BENCH_*.json artifacts of a seeded bench must agree on every
+      top-level key except "manifest" (host, compiler, timings): a
+      change of simulated behaviour then fails here instead of
+      regenerating the committed artifact unnoticed.
 
 Both C++ and this script accumulate in IEEE-754 binary64 left to
 right, so "exact" means Python's float sum reproduces the C++ total
@@ -640,6 +646,24 @@ def check_bench(paths):
               f"{manifest['hardware_concurrency']} hardware threads")
 
 
+def check_same(committed_path, fresh_path):
+    docs = []
+    for path in (committed_path, fresh_path):
+        with open(path) as f:
+            doc = json.load(f)
+        if not isinstance(doc, dict):
+            fail(f"{path}: not a JSON object")
+        docs.append(doc)
+    committed, fresh = docs
+    keys = (set(committed) | set(fresh)) - {"manifest"}
+    differ = sorted(k for k in keys if committed.get(k) != fresh.get(k))
+    if differ:
+        fail(f"{fresh_path} differs from {committed_path} in: "
+             f"{', '.join(differ)}")
+    print(f"check_obs: OK: {fresh_path}: {len(keys)} keys match "
+          f"{committed_path}")
+
+
 def main(argv):
     if len(argv) < 3:
         print(__doc__, file=sys.stderr)
@@ -659,6 +683,8 @@ def main(argv):
         check_manifest(args[0], args[1:])
     elif mode == "bench":
         check_bench(args)
+    elif mode == "same":
+        check_same(args[0], args[1])
     else:
         fail(f"unknown mode '{mode}'")
     return 0

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <deque>
-#include <queue>
 #include <string>
 #include <vector>
 
 #include "fault/topology.h"
+#include "mapreduce/event_queue.h"
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -148,21 +149,30 @@ enum class EventKind : std::uint8_t {
 struct Event
 {
     double time = 0.0;
-    std::uint64_t seq = 0;  ///< FIFO tie-break keeps runs deterministic
+    std::uint64_t seq = 0;  ///< FIFO tie-break, stamped by the queue
     EventKind kind = EventKind::kFinish;
     std::uint32_t id = 0;  ///< attempt id, or task id for kReady
 };
 
-struct EventAfter
+/**
+ * Every launch pushes a finish (or crash), a watchdog deadline and a
+ * speculation check, none of them ever cancelled. Pushes of one kind
+ * mostly arrive in time order, so each kind gets a lane; the other
+ * kinds are rare and go to the heap.
+ */
+using EventQueue = LanedEventQueue<Event, 3>;
+
+std::size_t
+lane_of(EventKind kind)
 {
-    bool
-    operator()(const Event& a, const Event& b) const
-    {
-        if (a.time != b.time)
-            return a.time > b.time;
-        return a.seq > b.seq;
+    switch (kind) {
+      case EventKind::kFinish:
+      case EventKind::kCrash: return 0;
+      case EventKind::kWatchdog: return 1;
+      case EventKind::kSpecCheck: return 2;
+      default: return EventQueue::kHeap;
     }
-};
+}
 
 struct PhaseResult
 {
@@ -261,8 +271,7 @@ class PhaseSim
     std::vector<TaskState> tasks_;
     std::vector<Attempt> attempts_;
     std::deque<std::uint32_t> ready_;
-    std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
-    std::uint64_t seq_ = 0;
+    EventQueue events_;
     std::uint32_t completed_ = 0;
     std::uint32_t pressure_ = 0;  ///< failed + watchdog-killed attempts
     bool degraded_ = false;
@@ -274,7 +283,7 @@ class PhaseSim
 void
 PhaseSim::push_event(double time, EventKind kind, std::uint32_t id)
 {
-    events_.push(Event{time, seq_++, kind, id});
+    events_.push(Event{time, 0, kind, id}, lane_of(kind));
 }
 
 void
@@ -887,8 +896,7 @@ PhaseSim::run(double start_time)
                      " events): scheduler livelock";
             break;
         }
-        const Event e = events_.top();
-        events_.pop();
+        const Event e = events_.pop();
         now = std::max(now, e.time);
         if (injector_ != nullptr)
             injector_->set_now(now);

@@ -11,70 +11,13 @@
 #include <thread>
 #include <utility>
 
+#include "mapreduce/event_queue.h"
 #include "util/assert.h"
 #include "util/thread_pool.h"
 
 namespace dcb::mapreduce {
 
 namespace {
-
-/** Strict (time, seq) order: the deterministic local order. */
-bool
-before(const ShardEvent& a, const ShardEvent& b)
-{
-    if (a.time != b.time)
-        return a.time < b.time;
-    return a.seq < b.seq;
-}
-
-/** Min-heap order on (time, seq). */
-struct EventAfter
-{
-    bool operator()(const ShardEvent& a, const ShardEvent& b) const
-    {
-        return before(b, a);
-    }
-};
-
-/**
- * An append-only run of events already in (time, seq) order, consumed
- * from the front: a push that keeps it sorted costs one append instead
- * of a heap sift. Consumed storage is reclaimed as it goes. A drained
- * lane resets, and the consumed prefix is dropped once it is at least
- * half the storage, so every event is moved at most once on average
- * and the storage stays within twice the pending events plus
- * kCompactMin.
- */
-class EventLane
-{
-  public:
-    bool empty() const { return head_ == items_.size(); }
-    const ShardEvent& front() const { return items_[head_]; }
-    /** Whether an event at `time` may be appended: its seq is the
-        shard's newest, so no time below the last one breaks the order. */
-    bool takes(double time) const
-    {
-        return empty() || time >= items_.back().time;
-    }
-    void push(const ShardEvent& ev) { items_.push_back(ev); }
-    void pop()
-    {
-        if (++head_ == items_.size()) {
-            items_.clear();
-            head_ = 0;
-        } else if (head_ >= kCompactMin && 2 * head_ >= items_.size()) {
-            items_.erase(items_.begin(),
-                         items_.begin() +
-                             static_cast<std::ptrdiff_t>(head_));
-            head_ = 0;
-        }
-    }
-
-  private:
-    static constexpr std::size_t kCompactMin = 256;
-    std::vector<ShardEvent> items_;
-    std::size_t head_ = 0;
-};
 
 double
 seconds_since(std::chrono::steady_clock::time_point start)
@@ -97,97 +40,54 @@ spin_until(const Pred& ready)
         std::this_thread::yield();
 }
 
+ShardEvent
+make_event(double time, std::uint32_t kind, std::uint32_t a,
+           std::uint32_t b, std::uint32_t c, std::uint32_t d, double x)
+{
+    ShardEvent ev;
+    ev.time = time;
+    ev.kind = kind;
+    ev.a = a;
+    ev.b = b;
+    ev.c = c;
+    ev.d = d;
+    ev.x = x;
+    return ev;
+}
+
 }  // namespace
 
 /**
  * One shard: queue, outbox, RNG stream and counters, all private.
  * Cache-line aligned: workers write neighbouring shards concurrently.
  *
- * The queue is a binary heap plus two sorted lanes. Handler pushes no
- * later than one lookahead ahead (heartbeat chains) append to the local
- * lane, coordinator pushes (launches at the barrier) to the barrier
- * lane, whenever the append keeps the lane sorted; everything else goes
- * to the heap. The next event is the least (time, seq) of the three
- * heads, which is the event the heap alone would have popped.
+ * Handler pushes no later than one lookahead ahead (heartbeat chains)
+ * try the local lane, coordinator pushes (launches at the barrier) the
+ * barrier lane; everything else goes to the queue's heap.
  */
 struct alignas(64) EngineShard
 {
+    using Queue = LanedEventQueue<ShardEvent, 2>;
+    static constexpr std::size_t kLocalLane = 0;
+    static constexpr std::size_t kBarrierLane = 1;
+
     std::uint32_t index = 0;
     double lookahead = 1.0;
-    std::vector<ShardEvent> heap;  ///< binary heap under EventAfter
-    EventLane local_lane;
-    EventLane barrier_lane;
+    Queue queue;
     std::vector<ShardMessage> outbox;
     util::Rng rng{0};
-    std::uint64_t next_seq = 0;
     std::uint64_t msg_seq = 0;
     ShardStats stats;
     /** Simulated time of the last event of the latest epoch in which
         this shard ran any (read by the epoch observer). */
     double last_event_s = -1.0;
 
-    ShardEvent make_event(double time, std::uint32_t kind,
-                          std::uint32_t a, std::uint32_t b,
-                          std::uint32_t c, std::uint32_t d, double x)
-    {
-        ShardEvent ev;
-        ev.time = time;
-        ev.seq = next_seq++;
-        ev.kind = kind;
-        ev.a = a;
-        ev.b = b;
-        ev.c = c;
-        ev.d = d;
-        ev.x = x;
-        return ev;
-    }
-
-    void push_heap(const ShardEvent& ev)
-    {
-        heap.push_back(ev);
-        std::push_heap(heap.begin(), heap.end(), EventAfter{});
-    }
-
-    /** The next pending event and the lane holding it: a null lane
-        means the heap, a null event means nothing is pending. */
-    struct Next
-    {
-        const ShardEvent* event = nullptr;
-        EventLane* lane = nullptr;
-    };
-
-    Next next()
-    {
-        Next n;
-        if (!heap.empty())
-            n.event = &heap.front();
-        for (EventLane* lane : {&local_lane, &barrier_lane}) {
-            if (!lane->empty() &&
-                (n.event == nullptr || before(lane->front(), *n.event))) {
-                n.event = &lane->front();
-                n.lane = lane;
-            }
-        }
-        return n;
-    }
-
-    /** Removes the event `n` names. */
-    void pop(const Next& n)
-    {
-        if (n.lane != nullptr) {
-            n.lane->pop();
-        } else {
-            std::pop_heap(heap.begin(), heap.end(), EventAfter{});
-            heap.pop_back();
-        }
-    }
-
     /** Time of the next pending event, +inf when none. */
-    double next_time()
+    double next_time() const
     {
-        const Next n = next();
-        return n.event != nullptr ? n.event->time
-                                  : std::numeric_limits<double>::infinity();
+        const ShardEvent* ev = queue.top();
+        return ev != nullptr ? ev->time
+                             : std::numeric_limits<double>::infinity();
     }
 };
 
@@ -205,12 +105,11 @@ ShardApi::push(double time, std::uint32_t kind, std::uint32_t a,
     auto* shard = static_cast<EngineShard*>(shard_);
     DCB_EXPECTS_MSG(time >= now_,
                     "shard event scheduled into the past");
-    const ShardEvent ev = shard->make_event(time, kind, a, b, c, d, x);
     // A far event would block the lane to the near ones behind it.
-    if (time <= now_ + shard->lookahead && shard->local_lane.takes(time))
-        shard->local_lane.push(ev);
-    else
-        shard->push_heap(ev);
+    shard->queue.push(make_event(time, kind, a, b, c, d, x),
+                      time <= now_ + shard->lookahead
+                          ? EngineShard::kLocalLane
+                          : EngineShard::Queue::kHeap);
 }
 
 void
@@ -248,12 +147,8 @@ Coordinator::push(std::uint32_t shard, double time, std::uint32_t kind,
     DCB_EXPECTS(shard < impl->shards.size());
     DCB_EXPECTS_MSG(time >= barrier_,
                     "coordinator event scheduled before the barrier");
-    EngineShard& sh = impl->shards[shard];
-    const ShardEvent ev = sh.make_event(time, kind, a, b, c, d, x);
-    if (sh.barrier_lane.takes(time))
-        sh.barrier_lane.push(ev);
-    else
-        sh.push_heap(ev);
+    impl->shards[shard].queue.push(make_event(time, kind, a, b, c, d, x),
+                                   EngineShard::kBarrierLane);
 }
 
 ShardedEngine::ShardedEngine(std::uint32_t shards, double lookahead_s,
@@ -290,8 +185,7 @@ ShardedEngine::seed_event(std::uint32_t shard, double time,
 {
     DCB_EXPECTS(shard < impl_->shards.size());
     DCB_EXPECTS(!impl_->ran);
-    EngineShard& sh = impl_->shards[shard];
-    sh.push_heap(sh.make_event(time, kind, a, b, c, d, x));
+    impl_->shards[shard].queue.push(make_event(time, kind, a, b, c, d, x));
 }
 
 EngineResult
@@ -315,22 +209,18 @@ ShardedEngine::run(const EventFn& on_event, const BarrierFn& on_barrier,
     const auto process_shard = [&](unsigned worker, std::uint32_t s,
                                    double epoch_end) {
         EngineShard& sh = impl_->shards[s];
-        EngineShard::Next next = sh.next();
-        if (next.event == nullptr || next.event->time >= epoch_end)
+        if (sh.next_time() >= epoch_end)
             return;
         if (workers > 1 && worker != s % workers)
             ++sh.stats.steals;
         const auto t0 = std::chrono::steady_clock::now();
         ShardApi api(&sh);
         api.epoch_end_ = epoch_end;
-        do {
-            const ShardEvent ev = *next.event;  // the pop moves storage
-            sh.pop(next);
+        for (ShardEvent ev; sh.queue.pop_before(epoch_end, ev);) {
             api.now_ = ev.time;
             on_event(s, ev, api);
             ++sh.stats.events_processed;
-            next = sh.next();
-        } while (next.event != nullptr && next.event->time < epoch_end);
+        }
         sh.last_event_s = api.now_;
         sh.stats.busy_seconds += seconds_since(t0);
     };

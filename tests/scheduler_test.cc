@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -371,6 +373,46 @@ runs_bit_equal(const JobRun& a, const JobRun& b)
            a.reduces_completed == b.reduces_completed;
 }
 
+/** FNV-1a over the JobRun fields the golden hashes pin. */
+class RunHash
+{
+  public:
+    void mix(const void* p, std::size_t n)
+    {
+        const auto* b = static_cast<const unsigned char*>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h_ ^= b[i];
+            h_ *= 1099511628211ULL;
+        }
+    }
+    void mix_d(double v) { mix(&v, sizeof v); }
+    void mix_u(std::uint64_t v) { mix(&v, sizeof v); }
+    void mix_run(const JobRun& r)
+    {
+        mix_u(r.completed ? 1 : 0);
+        mix_d(r.timings.total_s);
+        mix_d(r.timings.map_s);
+        mix_d(r.timings.shuffle_s);
+        mix_d(r.timings.reduce_s);
+        mix_d(r.timings.overhead_s);
+        mix_d(r.timings.disk_write_requests);
+        mix_d(r.timings.disk_writes_per_second);
+        mix_u(r.max_task_attempts);
+        mix_u(r.task_failures);
+        mix_u(r.speculative_launched);
+        mix_u(r.speculative_wasted);
+        mix_u(r.maps_reexecuted);
+        mix_u(r.nodes_lost);
+        mix_u(r.nodes_blacklisted);
+        mix_d(r.wasted_task_s);
+        mix_d(r.recovery_s);
+    }
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 1469598103934665603ULL;
+};
+
 /**
  * The zero-fault event path is the baseline every experiment in the
  * repo compares against, so it is pinned by value: an FNV-1a hash over
@@ -381,45 +423,93 @@ runs_bit_equal(const JobRun& a, const JobRun& b)
  */
 TEST(Scheduler, ZeroFaultGoldenHashIsPinned)
 {
-    std::uint64_t h = 1469598103934665603ULL;
-    const auto mix = [&h](const void* p, std::size_t n) {
-        const auto* b = static_cast<const unsigned char*>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 1099511628211ULL;
-        }
-    };
-    const auto mix_d = [&mix](double v) { mix(&v, sizeof v); };
-    const auto mix_u = [&mix](std::uint64_t v) { mix(&v, sizeof v); };
-
+    RunHash h;
     const ClusterScheduler scheduler;
     for (const std::string& name : workloads::data_analysis_names()) {
         const JobSpec spec = spec_of(name);
         for (const std::uint32_t slaves : {1u, 4u, 8u}) {
             ClusterConfig cluster;
             cluster.slaves = slaves;
-            const JobRun r = scheduler.run(spec, cluster, nullptr);
-            mix_u(r.completed ? 1 : 0);
-            mix_d(r.timings.total_s);
-            mix_d(r.timings.map_s);
-            mix_d(r.timings.shuffle_s);
-            mix_d(r.timings.reduce_s);
-            mix_d(r.timings.overhead_s);
-            mix_d(r.timings.disk_write_requests);
-            mix_d(r.timings.disk_writes_per_second);
-            mix_u(r.max_task_attempts);
-            mix_u(r.task_failures);
-            mix_u(r.speculative_launched);
-            mix_u(r.speculative_wasted);
-            mix_u(r.maps_reexecuted);
-            mix_u(r.nodes_lost);
-            mix_u(r.nodes_blacklisted);
-            mix_d(r.wasted_task_s);
-            mix_d(r.recovery_s);
+            h.mix_run(scheduler.run(spec, cluster, nullptr));
         }
     }
-    EXPECT_EQ(h, 0x2b3a8c7bf3d1530fULL)
+    EXPECT_EQ(h.value(), 0x2b3a8c7bf3d1530fULL)
         << "zero-fault scheduler output changed; if intentional, re-pin "
+           "and re-baseline the committed bench artifacts";
+}
+
+/**
+ * The faulted event path -- watchdog deadlines, crash reports held
+ * behind a partition, failover, cascades -- pinned the same way: one
+ * fixed plan per chaos-sweep fault kind at 4/8/16 slaves, hashing the
+ * JobRun fields above plus the attempt-duration sketch and the size of
+ * the fault log.
+ */
+TEST(Scheduler, FaultedGoldenHashIsPinned)
+{
+    std::vector<fault::FaultPlan> plans(8);
+    plans[0].task_crash_prob = 0.008;
+    plans[1].task_hang_prob = 0.012;
+    plans[2].slow_node_fraction = 0.3;
+    plans[2].slow_multiplier = 2.5;
+    plans[3].node_crash_time_s = 45.0;
+    plans[3].crash_node = 1;
+    plans[3].task_crash_prob = 0.004;
+    plans[4].rack_crash_time_s = 40.0;
+    plans[4].crash_rack = 1;
+    plans[5].partition_time_s = 30.0;
+    plans[5].partition_duration_s = 50.0;
+    plans[5].partition_rack = 1;
+    plans[5].cascade_prob = 0.3;
+    plans[6].master_crash_time_s = 35.0;
+    plans[6].cascade_prob = 0.3;
+    plans[7].task_crash_prob = 0.1;
+    plans[7].task_hang_prob = 0.05;
+    plans[7].partition_time_s = 25.0;
+    plans[7].partition_duration_s = 30.0;
+    plans[7].partition_rack = 0;
+    plans[7].master_crash_time_s = 60.0;
+    plans[7].cascade_prob = 0.5;
+
+    RunHash h;
+    JobRun sum;  // every recovery path the pin should cover
+    const ClusterScheduler scheduler;
+    const auto& names = workloads::data_analysis_names();
+    for (std::size_t k = 0; k < plans.size(); ++k) {
+        plans[k].seed = 0xFA17ULL + k;
+        const JobSpec spec = spec_of(names[k % names.size()]);
+        for (const std::uint32_t slaves : {4u, 8u, 16u}) {
+            ClusterConfig cluster;
+            cluster.slaves = slaves;
+            cluster.racks = 2;
+            fault::FaultInjector injector(plans[k]);
+            const JobRun r = scheduler.run(spec, cluster, &injector);
+            EXPECT_FALSE(injector.log().events().empty())
+                << "kind " << k << ", " << slaves << " slaves";
+            h.mix_run(r);
+            const std::string sketch = r.attempt_sketch.dump();
+            h.mix(sketch.data(), sketch.size());
+            h.mix_u(injector.log().events().size());
+            sum.task_failures += r.task_failures;
+            sum.watchdog_kills += r.watchdog_kills;
+            sum.speculative_launched += r.speculative_launched;
+            sum.nodes_lost += r.nodes_lost;
+            sum.racks_lost += r.racks_lost;
+            sum.partition_heals += r.partition_heals;
+            sum.master_failovers += r.master_failovers;
+            sum.cascades_triggered += r.cascades_triggered;
+        }
+    }
+    EXPECT_GT(sum.task_failures, 0u);
+    EXPECT_GT(sum.watchdog_kills, 0u);
+    EXPECT_GT(sum.speculative_launched, 0u);
+    EXPECT_GT(sum.nodes_lost, 0u);
+    EXPECT_GT(sum.racks_lost, 0u);
+    EXPECT_GT(sum.partition_heals, 0u);
+    EXPECT_GT(sum.master_failovers, 0u);
+    EXPECT_GT(sum.cascades_triggered, 0u);
+    EXPECT_EQ(h.value(), 0x3ade948e6ebefeb4ULL)
+        << "faulted scheduler output changed; if intentional, re-pin "
            "and re-baseline the committed bench artifacts";
 }
 
