@@ -20,6 +20,8 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -176,6 +178,36 @@ inline constexpr double kDefaultSampleRatio = 0.02;
  */
 inline constexpr double kDefaultFullSampleRatio = 0.15;
 
+/** The shared bench flags, printed on a bad command line. */
+inline constexpr const char* kUsage =
+    "usage: %s [BUDGET] [--ops N] [--jobs N] [--sample[=RATIO]]\n"
+    "    [--sample-window N] [--sample-warm N] [--sample-discard N]\n"
+    "    [--sample-warmup N] [--sample-full] [--obs-interval N]\n"
+    "    [--obs-out PREFIX] [--obs-extent-rows N] [--obs-metrics-out FILE]\n"
+    "    [--obs-phase[=FILE]] [--trace-out FILE] [--manifest FILE]\n";
+
+/** Report a bad command line with the usage text and exit 2. */
+[[noreturn]] inline void
+usage_error(const char* prog, const std::string& why)
+{
+    std::fprintf(stderr, "%s: %s\n", prog, why.c_str());
+    std::fprintf(stderr, kUsage, prog);
+    std::exit(2);
+}
+
+/** Parse a whole decimal op count; exits 2 when `s` is not one. */
+inline std::uint64_t
+parse_budget(const char* prog, const char* s)
+{
+    char* end = nullptr;
+    errno = 0;
+    const std::uint64_t v = std::strtoull(s, &end, 10);
+    if (*s < '0' || *s > '9' || *end != '\0' || errno == ERANGE)
+        usage_error(prog, std::string("op budget '") + s +
+                              "' is not a number");
+    return v;
+}
+
 /**
  * Parse the shared bench flags:
  *   --ops N            per-workload op budget (also legacy positional N)
@@ -208,7 +240,9 @@ inline constexpr double kDefaultFullSampleRatio = 0.15;
  * Workloads are independent simulations, so results do not depend on
  * the jobs count. Prints the resolved budget so every bench states what
  * it actually ran. The manifest is always populated (see manifest());
- * trace and manifest files are flushed at process exit.
+ * trace and manifest files are flushed at process exit. An unknown
+ * flag, a budget that is not a number or a second positional argument
+ * prints the usage to stderr and exits 2.
  */
 inline core::HarnessConfig
 config_from_args(int argc, char** argv)
@@ -227,11 +261,10 @@ config_from_args(int argc, char** argv)
             config.jobs = static_cast<unsigned>(
                 std::strtoul(argv[i] + 7, nullptr, 10));
         } else if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc) {
-            config.run.op_budget = std::strtoull(argv[++i], nullptr, 10);
+            config.run.op_budget = parse_budget(argv[0], argv[++i]);
             budget_seen = true;
         } else if (std::strncmp(argv[i], "--ops=", 6) == 0) {
-            config.run.op_budget =
-                std::strtoull(argv[i] + 6, nullptr, 10);
+            config.run.op_budget = parse_budget(argv[0], argv[i] + 6);
             budget_seen = true;
         } else if (std::strcmp(argv[i], "--sample") == 0) {
             default_ratio = true;
@@ -310,9 +343,16 @@ config_from_args(int argc, char** argv)
             sinks.manifest_path = argv[++i];
         } else if (std::strncmp(argv[i], "--manifest=", 11) == 0) {
             sinks.manifest_path = argv[i] + 11;
+        } else if (argv[i][0] == '-') {
+            usage_error(argv[0], std::string("unknown flag or missing "
+                                             "value: '") +
+                                     argv[i] + "'");
         } else if (!budget_seen) {
-            config.run.op_budget = std::strtoull(argv[i], nullptr, 10);
+            config.run.op_budget = parse_budget(argv[0], argv[i]);
             budget_seen = true;
+        } else {
+            usage_error(argv[0], std::string("unexpected argument '") +
+                                     argv[i] + "'");
         }
     }
     if (default_ratio && config.sampling.full_warming)

@@ -55,7 +55,10 @@ class ExternalSort
      */
     SortResult sort(const std::vector<SortRecord>& records);
 
-    const std::vector<SortRecord>& sorted() const { return out_->host(); }
+    const SimVec<SortRecord>::Storage& sorted() const
+    {
+        return out_->host();
+    }
 
   private:
     void merge_pass(SimVec<SortRecord>& src, SimVec<SortRecord>& dst,

@@ -27,7 +27,7 @@ FuzzyKmeans::FuzzyKmeans(trace::ExecCtx& ctx, mem::AddressSpace& space,
     DCB_EXPECTS(points.size() == n * dims);
     DCB_EXPECTS(k >= 1 && n >= k);
     DCB_EXPECTS(fuzziness > 1.0);
-    points_.host() = points;
+    points_.host().assign(points.begin(), points.end());
     for (std::uint32_t c = 0; c < k_; ++c)
         for (std::uint32_t d = 0; d < dims_; ++d)
             centers_[static_cast<std::size_t>(c) * dims_ + d] =

@@ -39,7 +39,10 @@ class FuzzyKmeans
 
     FuzzyKmeansResult run(std::uint32_t max_iters, double epsilon);
 
-    const std::vector<double>& centers() const { return centers_.host(); }
+    const SimVec<double>::Storage& centers() const
+    {
+        return centers_.host();
+    }
 
     /** Soft membership of point p in cluster c after the last run. */
     double membership(std::size_t p, std::uint32_t c) const

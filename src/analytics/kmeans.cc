@@ -25,7 +25,7 @@ Kmeans::Kmeans(trace::ExecCtx& ctx, mem::AddressSpace& space,
 {
     DCB_EXPECTS(points.size() == n * dims);
     DCB_EXPECTS(k >= 1 && n >= k);
-    points_.host() = points;
+    points_.host().assign(points.begin(), points.end());
     // Initialize centers from the first k points (deterministic seeding).
     for (std::uint32_t c = 0; c < k_; ++c)
         for (std::uint32_t d = 0; d < dims_; ++d)

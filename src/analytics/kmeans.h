@@ -43,9 +43,12 @@ class Kmeans
     KmeansResult run(std::uint32_t max_iters, double epsilon);
 
     /** Final centers, row-major (k x dims). */
-    const std::vector<double>& centers() const { return centers_.host(); }
+    const SimVec<double>::Storage& centers() const
+    {
+        return centers_.host();
+    }
     /** Final assignment of each point. */
-    const std::vector<std::uint32_t>& assignments() const
+    const SimVec<std::uint32_t>::Storage& assignments() const
     {
         return assign_.host();
     }

@@ -41,7 +41,10 @@ class PageRank
     PageRankResult run(std::uint32_t max_iters, double epsilon);
 
     /** Ranks after the last run (sums to ~1). */
-    const std::vector<double>& ranks() const { return ranks_.host(); }
+    const SimVec<double>::Storage& ranks() const
+    {
+        return ranks_.host();
+    }
 
     // --- Block-wise iteration API (op-budget friendly) -----------------
 

@@ -294,6 +294,15 @@ run_workload(const std::string& name, const HarnessConfig& config,
              std::uint64_t run_index)
 {
     RunResult result;
+    if (config.run.op_budget == 0) {
+        // Workloads stop at their first natural boundary past the
+        // budget, so a zero budget would reach kernel preconditions
+        // (a classifier trained on no documents) instead of an error.
+        result.status.ok = false;
+        result.status.error = "workload '" + name +
+                              "': the op budget must be positive";
+        return result;
+    }
     auto workload = workloads::make_workload(name);
     if (workload == nullptr) {
         result.status.ok = false;

@@ -168,8 +168,9 @@ cpu::CounterReport run_workload(workloads::Workload& workload,
                                 std::uint64_t run_index = 0);
 
 /**
- * Construct by name and run. Unknown names are a recoverable error: the
- * result's status lists the valid registry names instead of aborting.
+ * Construct by name and run. Unknown names and a zero op budget are
+ * recoverable errors: the result's status says why (listing the valid
+ * registry names for an unknown one) instead of aborting.
  */
 RunResult run_workload(const std::string& name,
                        const HarnessConfig& config,

@@ -12,6 +12,44 @@ namespace {
 /** Execution port class index for port cursors. */
 enum PortClass : std::size_t { kPortAlu = 0, kPortFpu, kPortLoad, kPortStore };
 
+/** Execution port by OpClass (a kNop issues on none). */
+constexpr std::size_t kPortOf[] = {kPortAlu,   kPortFpu, kPortLoad,
+                                   kPortStore, kPortAlu, kPortAlu};
+
+/** OpOutcome::flags bits. */
+enum OutcomeFlag : std::uint8_t {
+    kItlbL1Miss = 1 << 0,
+    kItlbWalk = 1 << 1,
+    kDtlbL1Miss = 1 << 2,
+    kDtlbWalk = 1 << 3,
+    kMispredicted = 1 << 4,
+};
+
+constexpr std::size_t
+idx(Event e)
+{
+    return static_cast<std::size_t>(e);
+}
+
+/** Slots of the functional pass's integer counts beyond the events. */
+constexpr std::size_t kUserSlot = kEventCount;
+constexpr std::size_t kKernelSlot = kEventCount + 1;
+constexpr std::size_t kCountSlots = kEventCount + 2;
+
+/**
+ * Count one beyond-L1 access: an L2 access, then an L2 miss and L3
+ * access, then an L3 miss, as far as it went.
+ */
+inline void
+count_level(mem::HitLevel level, std::uint64_t* counts)
+{
+    ++counts[idx(Event::kL2Access)];
+    const std::uint64_t past_l2 = level >= mem::HitLevel::kL3;
+    counts[idx(Event::kL2Miss)] += past_l2;
+    counts[idx(Event::kL3Access)] += past_l2;
+    counts[idx(Event::kL3Miss)] += level == mem::HitLevel::kMemory;
+}
+
 }  // namespace
 
 Core::Core(const CoreConfig& core_config,
@@ -22,12 +60,13 @@ Core::Core(const CoreConfig& core_config,
       hierarchy_(memory_config),
       shared_tlb_(memory_config.l2_tlb, memory_config.page_bytes),
       itlb_(memory_config.itlb, memory_config, shared_tlb_, page_table_,
-            [this](std::uint64_t a) { return walker_access(a); }),
+            [this](std::uint64_t a) { return timed_walker_access(a); }),
       dtlb_(memory_config.dtlb, memory_config, shared_tlb_, page_table_,
-            [this](std::uint64_t a) { return walker_access(a); }),
+            [this](std::uint64_t a) { return timed_walker_access(a); }),
       branch_(std::make_unique<GsharePredictor>(
                   core_config.gshare_history_bits),
-              core_config.btb_entries, core_config.btb_ways)
+              core_config.btb_entries, core_config.btb_ways),
+      walk_levels_(memory_config.walk_levels)
 {
     cfg_.validate();
     page_shift_ = static_cast<std::uint32_t>(
@@ -84,6 +123,23 @@ Core::walker_access(std::uint64_t addr)
     return r.latency;
 }
 
+std::uint32_t
+Core::timed_walker_access(std::uint64_t addr)
+{
+    const mem::AccessResult r = hierarchy_.walker_access(addr);
+    walk_ptes_ = static_cast<std::uint16_t>(
+        (walk_ptes_ << 2) | static_cast<unsigned>(r.level));
+    return r.latency;
+}
+
+void
+Core::count_walk(std::uint16_t ptes, std::uint64_t* counts) const
+{
+    for (std::uint32_t j = 0; j < walk_levels_; ++j)
+        count_level(static_cast<mem::HitLevel>((ptes >> (2 * j)) & 3u),
+                    counts);
+}
+
 void
 Core::set_direction_predictor(std::unique_ptr<DirectionPredictor> predictor)
 {
@@ -94,286 +150,477 @@ Core::set_direction_predictor(std::unique_ptr<DirectionPredictor> predictor)
 void
 Core::consume(const trace::MicroOp& op)
 {
-    consume_one(op);
+    consume_batch(&op, 1);
 }
 
 void
 Core::consume_batch(const trace::MicroOp* ops, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        consume_one(ops[i]);
+    while (n > 0) {
+        // A chunk ends where CoreStats must be exact mid-stream: at the
+        // warm-up reset (which also zeroes the structures' counters, so
+        // the functional pass must not run past it) and at each
+        // telemetry row.
+        std::uint64_t stop = telemetry_next_op_;
+        if (warmup_reset_at_ > op_index_ && warmup_reset_at_ < stop)
+            stop = warmup_reset_at_;
+        const std::size_t m = static_cast<std::size_t>(
+            std::min<std::uint64_t>({n, kChunkOps, stop - op_index_}));
+
+        std::uint64_t counts[kCountSlots] = {};
+        functional_pass(ops, m, counts);
+        if (pmu_.enabled()) {
+            if (telemetry_ != nullptr)
+                timing_pass<true, true>(ops, m);
+            else
+                timing_pass<true, false>(ops, m);
+        } else {
+            if (telemetry_ != nullptr)
+                timing_pass<false, true>(ops, m);
+            else
+                timing_pass<false, false>(ops, m);
+        }
+        // Unit-weight events are integer-valued doubles far below 2^53,
+        // so one add of the chunk's count equals one add per event.
+        for (std::size_t e = 0; e < kEventCount; ++e)
+            if (counts[e] != 0)
+                stats_.add(static_cast<Event>(e),
+                           static_cast<double>(counts[e]));
+        stats_.user_instructions += static_cast<double>(counts[kUserSlot]);
+        stats_.kernel_instructions +=
+            static_cast<double>(counts[kKernelSlot]);
+        ops += m;
+        n -= m;
+
+        if (warmup_reset_at_ != 0 && op_index_ == warmup_reset_at_) {
+            reset_counters();
+            warmup_reset_at_ = 0;
+        }
+        if (op_index_ == telemetry_next_op_)
+            telemetry_tick(false);
+    }
 }
 
 void
-Core::consume_one(const trace::MicroOp& op)
+Core::functional_pass(const trace::MicroOp* ops, std::size_t n,
+                      std::uint64_t* counts)
 {
-    using trace::Mode;
+    using trace::OpClass;
+    for (std::size_t i = 0; i < n; ++i) {
+        const trace::MicroOp& op = ops[i];
+        OpOutcome& out = outcomes_[i];
+        std::uint8_t flags = 0;
+
+        // Front end: ITLB translation + L1I fetch.
+        const mem::TranslationResult itr = itlb_.translate(op.fetch_addr);
+        if (!itr.l1_hit) {
+            flags |= kItlbL1Miss;
+            ++counts[idx(Event::kITlbL1Miss)];
+        }
+        out.itlb_ptes = 0;
+        if (itr.walked) {
+            flags |= kItlbWalk;
+            ++counts[idx(Event::kITlbWalk)];
+            out.itlb_ptes = walk_ptes_;
+            count_walk(walk_ptes_, counts);
+            walk_ptes_ = 0;
+        }
+        const mem::AccessResult fa = hierarchy_.fetch(op.fetch_addr);
+        out.fetch_level = fa.level;
+        out.fetch_penalty = itr.latency;
+        if (fa.level != mem::HitLevel::kL1) {
+            ++counts[idx(Event::kL1IMiss)];
+            count_level(fa.level, counts);
+            out.fetch_penalty += fa.latency;
+        }
+
+        // Data side: DTLB translation + L1D (and the prefetcher), or
+        // the branch unit.
+        out.dtlb_ptes = 0;
+        out.data_level = mem::HitLevel::kL1;
+        out.data_latency = 0;
+        if (op.cls == OpClass::kLoad || op.cls == OpClass::kStore) {
+            const mem::TranslationResult dtr = dtlb_.translate(op.addr);
+            if (!dtr.l1_hit) {
+                flags |= kDtlbL1Miss;
+                ++counts[idx(Event::kDTlbL1Miss)];
+            }
+            if (dtr.walked) {
+                flags |= kDtlbWalk;
+                ++counts[idx(Event::kDTlbWalk)];
+                out.dtlb_ptes = walk_ptes_;
+                count_walk(walk_ptes_, counts);
+                walk_ptes_ = 0;
+            }
+            const bool store = op.cls == OpClass::kStore;
+            const mem::AccessResult da = hierarchy_.data_access(op.addr,
+                                                                store);
+            ++counts[idx(store ? Event::kStores : Event::kLoads)];
+            out.data_level = da.level;
+            out.data_latency = da.latency + dtr.latency;
+            if (da.level != mem::HitLevel::kL1) {
+                ++counts[idx(Event::kL1DMiss)];
+                count_level(da.level, counts);
+            }
+        } else if (op.cls == OpClass::kBranch) {
+            ++counts[idx(Event::kBrRetired)];
+            const bool mispredicted =
+                op.indirect ? branch_.resolve_indirect(op.branch_key,
+                                                       op.target_key)
+                            : branch_.resolve_conditional(op.branch_key,
+                                                          op.taken);
+            if (mispredicted) {
+                flags |= kMispredicted;
+                ++counts[idx(Event::kBrMispred)];
+            }
+        }
+        out.flags = flags;
+
+        const std::uint64_t pf = hierarchy_.prefetch_fills();
+        out.prefetch_fills = static_cast<std::uint32_t>(
+            pf - seen_prefetch_fills_);
+        seen_prefetch_fills_ = pf;
+        const std::uint64_t pfm = hierarchy_.prefetch_memory_fills();
+        out.prefetch_mem_fills = static_cast<std::uint32_t>(
+            pfm - seen_prefetch_mem_fills_);
+        seen_prefetch_mem_fills_ = pfm;
+        counts[idx(Event::kPrefetchFill)] += out.prefetch_fills;
+        ++counts[op.mode == trace::Mode::kUser ? kUserSlot : kKernelSlot];
+    }
+    counts[idx(Event::kInstRetired)] += n;
+    counts[idx(Event::kL1IAccess)] += n;
+    counts[idx(Event::kL1DAccess)] +=
+        counts[idx(Event::kLoads)] + counts[idx(Event::kStores)];
+}
+
+template <bool kPmu, bool kResidence>
+void
+Core::timing_pass(const trace::MicroOp* ops, std::size_t n)
+{
     using trace::OpClass;
 
-    const Mode mode = op.mode;
-    cur_mode_ = mode;
+    // The timeline, ring cursors and accumulators live in locals for
+    // the whole chunk, and nothing in the loop calls out (the PMU
+    // replay aside), so they stay in registers. Each fractional
+    // accumulator starts from its CoreStats value and takes the chunk's
+    // per-op terms in op order, so the written-back sums are
+    // bit-identical to adding them op by op.
+    double fetch_time = fetch_time_;
+    double rename_time = rename_time_;
+    double rat_read_time = rat_read_time_;
+    double dispatch_time = dispatch_time_;
+    double last_retire = last_retire_;
+    double mem_bus_time = mem_bus_time_;
+    std::array<double, 4> port_time = port_time_;
+    std::uint64_t op_index = op_index_;
 
-    // ------------------------------------------------------------------
-    // Front end: ITLB translation + L1I fetch. The fetch cursor may not
-    // run further ahead of dispatch than the in-flight window allows.
-    // ------------------------------------------------------------------
-    const double fetch_floor = dispatch_time_ -
+    double* const rob = rob_.data();
+    double* const rs = rs_.data();
+    double* const load_buf = load_buf_.data();
+    double* const store_buf = store_buf_.data();
+    const std::size_t rob_size = rob_.size();
+    const std::size_t rs_size = rs_.size();
+    const std::size_t load_size = load_buf_.size();
+    const std::size_t store_size = store_buf_.size();
+    std::size_t rob_cursor = rob_cursor_;
+    std::size_t rs_cursor = rs_cursor_;
+    std::size_t load_cursor = load_cursor_;
+    std::size_t store_cursor = store_cursor_;
+
+    double fetch_stall = stats_.get(Event::kFetchStallCycles);
+    double rat_stall = stats_.get(Event::kRatStallCycles);
+    double rob_stall = stats_.get(Event::kRobFullStallCycles);
+    double rs_stall = stats_.get(Event::kRsFullStallCycles);
+    double load_stall = stats_.get(Event::kLoadBufStallCycles);
+    double store_stall = stats_.get(Event::kStoreBufStallCycles);
+    double cycles = stats_.get(Event::kCycles);
+    double rob_residence = rob_residence_;
+    double rs_residence = rs_residence_;
+    double load_residence = load_residence_;
+    double store_residence = store_residence_;
+
+    const double fetch_window =
         static_cast<double>(cfg_.rob_entries) * inv_dispatch_width_;
-    if (fetch_time_ < fetch_floor)
-        fetch_time_ = fetch_floor;
+    const double inv_fetch_width = inv_fetch_width_;
+    const double inv_dispatch_width = inv_dispatch_width_;
+    const double inv_retire_width = inv_retire_width_;
+    const double rat_demand_per_reg = rat_demand_per_reg_;
+    const std::uint32_t hide_cycles = cfg_.frontend_hide_cycles;
+    const std::uint32_t partial_reg_penalty = cfg_.partial_reg_penalty;
+    const std::uint32_t mispredict_penalty = cfg_.mispredict_penalty;
+    const double bus_cycles = cfg_.memory_bandwidth_cycles_per_line;
+    // Execution latency by OpClass; a load takes its access latency.
+    const std::uint32_t class_latency[] = {
+        cfg_.alu_latency, cfg_.fpu_latency, 0, 1, cfg_.branch_latency, 0};
 
-    const mem::TranslationResult itr = itlb_.translate(op.fetch_addr);
-    if (!itr.l1_hit)
-        note(Event::kITlbL1Miss, 1.0, mode);
-    if (itr.walked)
-        note(Event::kITlbWalk, 1.0, mode);
+    for (std::size_t i = 0; i < n; ++i) {
+        const trace::MicroOp& op = ops[i];
+        const OpOutcome& out = outcomes_[i];
+        const bool is_load = op.cls == OpClass::kLoad;
+        const bool is_store = op.cls == OpClass::kStore;
+        // fetch, RAT, ROB, RS and load/store-buffer stall of this op
+        // (0 = none), for the PMU replay.
+        double stalls[5] = {};
 
-    const mem::AccessResult fa = hierarchy_.fetch(op.fetch_addr);
-    note(Event::kL1IAccess, 1.0, mode);
-    double frontend_penalty = itr.latency;
-    if (fa.level != mem::HitLevel::kL1) {
-        note(Event::kL1IMiss, 1.0, mode);
-        note_unified_levels(fa.level, mode);
-        frontend_penalty += fa.latency;
-    }
-    // The decoupled front end (fetch/uop queues) absorbs short
-    // instruction-supply hiccups; only the excess starves the core.
-    frontend_penalty = std::max(0.0, frontend_penalty -
-                                         cfg_.frontend_hide_cycles);
-    if (frontend_penalty > 0.0) {
-        note(Event::kFetchStallCycles, frontend_penalty, mode);
-        fetch_time_ += frontend_penalty;
-    }
-    fetch_time_ += inv_fetch_width_;
-    const double fetched = fetch_time_;
+        // --------------------------------------------------------------
+        // Front end. The fetch cursor may not run further ahead of
+        // dispatch than the in-flight window allows; the decoupled
+        // front end (fetch/uop queues) absorbs short instruction-supply
+        // hiccups, and only the excess starves the core.
+        // --------------------------------------------------------------
+        // Every stall below is a non-negative excess (+0.0 when there
+        // is none), and adding +0.0 leaves a cursor or accumulator
+        // unchanged, so the updates need no branches.
+        fetch_time = std::max(fetch_time, dispatch_time - fetch_window);
+        const double frontend_penalty = std::max(
+            0.0, static_cast<double>(out.fetch_penalty) - hide_cycles);
+        fetch_stall += frontend_penalty;
+        fetch_time += frontend_penalty;
+        stalls[0] = frontend_penalty;
+        fetch_time += inv_fetch_width;
+        const double fetched = fetch_time;
 
-    // ------------------------------------------------------------------
-    // Rename: width-limited, plus RAT read-port and partial-register
-    // pressure (the paper's RAT-stall category).
-    // ------------------------------------------------------------------
-    double renamed = std::max(fetched, rename_time_ + inv_dispatch_width_);
-    const double rat_arrival = renamed;
-    const double rat_start = std::max(rat_read_time_, rat_arrival);
-    rat_read_time_ = rat_start + op.src_regs * rat_demand_per_reg_;
-    double rat_penalty = rat_start - rat_arrival;
-    if (op.partial_reg)
-        rat_penalty += cfg_.partial_reg_penalty;
-    if (rat_penalty > 0.0) {
-        note(Event::kRatStallCycles, rat_penalty, mode);
+        // --------------------------------------------------------------
+        // Rename: width-limited, plus RAT read-port and partial-register
+        // pressure (the paper's RAT-stall category).
+        // --------------------------------------------------------------
+        double renamed = std::max(fetched, rename_time + inv_dispatch_width);
+        const double rat_arrival = renamed;
+        const double rat_start = std::max(rat_read_time, rat_arrival);
+        rat_read_time = rat_start + op.src_regs * rat_demand_per_reg;
+        double rat_penalty = rat_start - rat_arrival;
+        if (op.partial_reg)
+            rat_penalty += partial_reg_penalty;
+        rat_stall += rat_penalty;
         renamed += rat_penalty;
-    }
-    rename_time_ = renamed;
+        stalls[1] = rat_penalty;
+        rename_time = renamed;
 
-    // ------------------------------------------------------------------
-    // Dispatch: needs a ROB entry, an RS entry, and a load/store buffer
-    // entry. Each ring stores the release time of the entry this op
-    // reuses; waiting on it is the corresponding "resource full" stall.
-    // ------------------------------------------------------------------
-    double dispatched = std::max(renamed,
-                                 dispatch_time_ + inv_dispatch_width_);
-
-    const std::size_t rob_slot = rob_cursor_;
-    if (++rob_cursor_ == rob_.size())
-        rob_cursor_ = 0;
-    if (rob_[rob_slot] > dispatched) {
-        note(Event::kRobFullStallCycles, rob_[rob_slot] - dispatched, mode);
-        dispatched = rob_[rob_slot];
-    }
-    const std::size_t rs_slot = rs_cursor_;
-    if (++rs_cursor_ == rs_.size())
-        rs_cursor_ = 0;
-    if (rs_[rs_slot] > dispatched) {
-        note(Event::kRsFullStallCycles, rs_[rs_slot] - dispatched, mode);
-        dispatched = rs_[rs_slot];
-    }
-    std::size_t lq_slot = 0;
-    std::size_t sq_slot = 0;
-    if (op.cls == OpClass::kLoad) {
-        lq_slot = load_cursor_;
-        if (++load_cursor_ == load_buf_.size())
-            load_cursor_ = 0;
-        if (load_buf_[lq_slot] > dispatched) {
-            note(Event::kLoadBufStallCycles, load_buf_[lq_slot] - dispatched,
-                 mode);
-            dispatched = load_buf_[lq_slot];
+        // --------------------------------------------------------------
+        // Dispatch: needs a ROB entry, an RS entry, and a load/store
+        // buffer entry. Each ring stores the release time of the entry
+        // this op reuses; waiting on it is the corresponding "resource
+        // full" stall.
+        // --------------------------------------------------------------
+        double dispatched = std::max(renamed,
+                                     dispatch_time + inv_dispatch_width);
+        const auto wait_for = [&dispatched](double release) {
+            const bool full = release > dispatched;
+            const double excess = full ? release - dispatched : 0.0;
+            dispatched = full ? release : dispatched;
+            return excess;
+        };
+        const std::size_t rob_slot = rob_cursor;
+        if (++rob_cursor == rob_size)
+            rob_cursor = 0;
+        stalls[2] = wait_for(rob[rob_slot]);
+        rob_stall += stalls[2];
+        const std::size_t rs_slot = rs_cursor;
+        if (++rs_cursor == rs_size)
+            rs_cursor = 0;
+        stalls[3] = wait_for(rs[rs_slot]);
+        rs_stall += stalls[3];
+        std::size_t lq_slot = 0;
+        std::size_t sq_slot = 0;
+        if (is_load) {
+            lq_slot = load_cursor;
+            if (++load_cursor == load_size)
+                load_cursor = 0;
+            stalls[4] = wait_for(load_buf[lq_slot]);
+            load_stall += stalls[4];
+        } else if (is_store) {
+            sq_slot = store_cursor;
+            if (++store_cursor == store_size)
+                store_cursor = 0;
+            stalls[4] = wait_for(store_buf[sq_slot]);
+            store_stall += stalls[4];
         }
-    } else if (op.cls == OpClass::kStore) {
-        sq_slot = store_cursor_;
-        if (++store_cursor_ == store_buf_.size())
-            store_cursor_ = 0;
-        if (store_buf_[sq_slot] > dispatched) {
-            note(Event::kStoreBufStallCycles,
-                 store_buf_[sq_slot] - dispatched, mode);
-            dispatched = store_buf_[sq_slot];
-        }
-    }
-    dispatch_time_ = dispatched;
+        dispatch_time = dispatched;
 
-    // ------------------------------------------------------------------
-    // Issue: wait for the producer (dependency) and an execution port.
-    // ------------------------------------------------------------------
-    double ready = dispatched;
-    if (op.dep_dist > 0 && op.dep_dist <= op_index_ &&
-        op.dep_dist < kCompWindow) {
+        // --------------------------------------------------------------
+        // Issue: wait for the producer (dependency) and an execution
+        // port.
+        // --------------------------------------------------------------
         const double producer =
-            comp_[(op_index_ - op.dep_dist) % kCompWindow];
-        ready = std::max(ready, producer);
-    }
+            comp_[(op_index - op.dep_dist) % kCompWindow];
+        const bool has_producer = op.dep_dist > 0 &&
+                                  op.dep_dist <= op_index &&
+                                  op.dep_dist < kCompWindow;
+        const double ready =
+            has_producer ? std::max(dispatched, producer) : dispatched;
 
-    std::size_t port = kPortAlu;
-    std::uint32_t exec_latency = cfg_.alu_latency;
-    std::uint32_t store_drain = 0;
-    switch (op.cls) {
-      case OpClass::kAlu:
-        break;
-      case OpClass::kFpu:
-        port = kPortFpu;
-        exec_latency = cfg_.fpu_latency;
-        break;
-      case OpClass::kBranch:
-        exec_latency = cfg_.branch_latency;
-        break;
-      case OpClass::kLoad: {
-        port = kPortLoad;
-        const mem::TranslationResult dtr = dtlb_.translate(op.addr);
-        if (!dtr.l1_hit)
-            note(Event::kDTlbL1Miss, 1.0, mode);
-        if (dtr.walked)
-            note(Event::kDTlbWalk, 1.0, mode);
-        const mem::AccessResult da = hierarchy_.data_access(op.addr, false);
-        note(Event::kLoads, 1.0, mode);
-        note(Event::kL1DAccess, 1.0, mode);
-        if (da.level != mem::HitLevel::kL1) {
-            note(Event::kL1DMiss, 1.0, mode);
-            note_unified_levels(da.level, mode);
-        }
-        exec_latency = da.latency + dtr.latency;
-        if (da.level == mem::HitLevel::kMemory) {
+        const auto cls = static_cast<std::size_t>(op.cls);
+        const std::size_t port = kPortOf[cls];
+        std::uint32_t exec_latency =
+            is_load ? out.data_latency : class_latency[cls];
+        // A store is forwardable after address generation; the write
+        // drains to the cache after retirement and holds the
+        // store-buffer entry.
+        const std::uint32_t store_drain = is_store ? out.data_latency : 0;
+        if (is_load && out.data_level == mem::HitLevel::kMemory) {
             // Occupy the memory bus; queueing delay adds to the load.
-            const double start = std::max(mem_bus_time_, dispatched);
-            mem_bus_time_ = start + cfg_.memory_bandwidth_cycles_per_line;
+            const double start = std::max(mem_bus_time, dispatched);
+            mem_bus_time = start + bus_cycles;
             exec_latency += static_cast<std::uint32_t>(start - dispatched);
         }
-        break;
-      }
-      case OpClass::kStore: {
-        port = kPortStore;
-        const mem::TranslationResult dtr = dtlb_.translate(op.addr);
-        if (!dtr.l1_hit)
-            note(Event::kDTlbL1Miss, 1.0, mode);
-        if (dtr.walked)
-            note(Event::kDTlbWalk, 1.0, mode);
-        const mem::AccessResult da = hierarchy_.data_access(op.addr, true);
-        note(Event::kStores, 1.0, mode);
-        note(Event::kL1DAccess, 1.0, mode);
-        if (da.level != mem::HitLevel::kL1) {
-            note(Event::kL1DMiss, 1.0, mode);
-            note_unified_levels(da.level, mode);
+
+        double issued = ready;
+        if (op.cls != OpClass::kNop) {
+            issued = std::max(port_time[port], ready);
+            port_time[port] = issued + inv_ports_[port];
         }
-        // Forwardable after address generation; the write drains to the
-        // cache after retirement and holds the store-buffer entry.
-        exec_latency = 1;
-        store_drain = da.latency + dtr.latency;
-        break;
-      }
-      case OpClass::kNop:
-        exec_latency = 0;
-        break;
-    }
+        const double completed = issued + exec_latency;
+        comp_[op_index % kCompWindow] = completed;
+        rs[rs_slot] = issued;  // RS entry frees at issue
 
-    double issued = ready;
-    if (op.cls != OpClass::kNop) {
-        issued = std::max(port_time_[port], ready);
-        port_time_[port] = issued + inv_ports_[port];
-    }
-    const double completed = issued + exec_latency;
-    comp_[op_index_ % kCompWindow] = completed;
-    rs_[rs_slot] = issued;  // RS entry frees at issue
+        // --------------------------------------------------------------
+        // Retire: in order, at retire width.
+        // --------------------------------------------------------------
+        const double prev_retire = last_retire;
+        const double retired = std::max(completed,
+                                        last_retire + inv_retire_width);
+        last_retire = retired;
+        rob[rob_slot] = retired;
+        if (is_load)
+            load_buf[lq_slot] = completed;
+        else if (is_store)
+            store_buf[sq_slot] = retired + store_drain;
 
-    // ------------------------------------------------------------------
-    // Retire: in order, at retire width.
-    // ------------------------------------------------------------------
-    const double prev_retire = last_retire_;
-    const double retired = std::max(completed,
-                                    last_retire_ + inv_retire_width_);
-    last_retire_ = retired;
-    rob_[rob_slot] = retired;
-    if (op.cls == OpClass::kLoad) {
-        load_buf_[lq_slot] = completed;
-        ++load_count_;
-    } else if (op.cls == OpClass::kStore) {
-        store_buf_[sq_slot] = retired + store_drain;
-        ++store_count_;
-    }
-
-    if (telemetry_ != nullptr) {
-        // Residence integrals (op-cycles held per structure); Little's
-        // law turns the per-interval residence delta into the interval's
-        // mean occupancy at telemetry_tick() time.
-        rob_residence_ += retired - dispatched;
-        rs_residence_ += issued - dispatched;
-        if (op.cls == OpClass::kLoad)
-            load_residence_ += completed - dispatched;
-        else if (op.cls == OpClass::kStore)
-            store_residence_ += retired + store_drain - dispatched;
-    }
-
-    // ------------------------------------------------------------------
-    // Branch resolution: mispredicts restart the front end after the
-    // branch resolves plus the refill depth.
-    // ------------------------------------------------------------------
-    if (op.cls == OpClass::kBranch) {
-        note(Event::kBrRetired, 1.0, mode);
-        const bool mispredicted =
-            op.indirect ? branch_.resolve_indirect(op.branch_key,
-                                                   op.target_key)
-                        : branch_.resolve_conditional(op.branch_key,
-                                                      op.taken);
-        if (mispredicted) {
-            note(Event::kBrMispred, 1.0, mode);
-            // The recovery bubble costs cycles (front end restarts after
-            // resolution) but is not an instruction-fetch-stall *event*:
-            // the paper's six Figure 6 counters do not include
-            // speculation recovery, so it is not attributed there.
-            const double restart = completed + cfg_.mispredict_penalty;
-            if (restart > fetch_time_)
-                fetch_time_ = restart;
+        if constexpr (kResidence) {
+            // Residence integrals (op-cycles held per structure);
+            // Little's law turns the per-interval residence delta into
+            // the interval's mean occupancy at telemetry_tick() time.
+            rob_residence += retired - dispatched;
+            rs_residence += issued - dispatched;
+            if (is_load)
+                load_residence += completed - dispatched;
+            else if (is_store)
+                store_residence += retired + store_drain - dispatched;
         }
+
+        // --------------------------------------------------------------
+        // Branch resolution: a mispredict restarts the front end after
+        // the branch resolves plus the refill depth. The recovery bubble
+        // costs cycles but is not an instruction-fetch-stall *event*:
+        // the paper's six Figure 6 counters do not include speculation
+        // recovery, so it is not attributed there.
+        // --------------------------------------------------------------
+        if (out.flags & kMispredicted) {
+            const double restart = completed + mispredict_penalty;
+            if (restart > fetch_time)
+                fetch_time = restart;
+        }
+
+        // Memory-sourced prefetches consume bus bandwidth
+        // asynchronously.
+        if (out.prefetch_mem_fills != 0) {
+            mem_bus_time = std::max(mem_bus_time, dispatched) +
+                           static_cast<double>(out.prefetch_mem_fills) *
+                               bus_cycles;
+        }
+
+        cycles += retired - prev_retire;
+        if constexpr (kPmu)
+            replay_pmu(op, out, stalls, retired - prev_retire);
+        ++op_index;
     }
 
-    // ------------------------------------------------------------------
-    // Retirement accounting.
-    // ------------------------------------------------------------------
-    const std::uint64_t pf = hierarchy_.prefetch_fills();
-    if (pf != seen_prefetch_fills_) {
-        note(Event::kPrefetchFill,
-             static_cast<double>(pf - seen_prefetch_fills_), mode);
-        seen_prefetch_fills_ = pf;
+    fetch_time_ = fetch_time;
+    rename_time_ = rename_time;
+    rat_read_time_ = rat_read_time;
+    dispatch_time_ = dispatch_time;
+    last_retire_ = last_retire;
+    mem_bus_time_ = mem_bus_time;
+    port_time_ = port_time;
+    op_index_ = op_index;
+    rob_cursor_ = rob_cursor;
+    rs_cursor_ = rs_cursor;
+    load_cursor_ = load_cursor;
+    store_cursor_ = store_cursor;
+    stats_.set(Event::kFetchStallCycles, fetch_stall);
+    stats_.set(Event::kRatStallCycles, rat_stall);
+    stats_.set(Event::kRobFullStallCycles, rob_stall);
+    stats_.set(Event::kRsFullStallCycles, rs_stall);
+    stats_.set(Event::kLoadBufStallCycles, load_stall);
+    stats_.set(Event::kStoreBufStallCycles, store_stall);
+    stats_.set(Event::kCycles, cycles);
+    if constexpr (kResidence) {
+        rob_residence_ = rob_residence;
+        rs_residence_ = rs_residence;
+        load_residence_ = load_residence;
+        store_residence_ = store_residence;
     }
-    const std::uint64_t pfm = hierarchy_.prefetch_memory_fills();
-    if (pfm != seen_prefetch_mem_fills_) {
-        // Memory-sourced prefetches consume bus bandwidth asynchronously.
-        const double fills = static_cast<double>(pfm -
-                                                 seen_prefetch_mem_fills_);
-        mem_bus_time_ = std::max(mem_bus_time_, dispatched) +
-                        fills * cfg_.memory_bandwidth_cycles_per_line;
-        seen_prefetch_mem_fills_ = pfm;
-    }
+}
 
-    note(Event::kInstRetired, 1.0, mode);
-    note(Event::kCycles, retired - prev_retire, mode);
-    if (mode == Mode::kUser)
-        stats_.user_instructions += 1.0;
-    else
-        stats_.kernel_instructions += 1.0;
-    ++op_index_;
+void
+Core::replay_pmu(const trace::MicroOp& op, const OpOutcome& out,
+                 const double* stalls, double cycles)
+{
+    using trace::OpClass;
+    const trace::Mode mode = op.mode;
+    const auto record = [this, mode](Event e, double w) {
+        pmu_.record(e, w, mode);
+    };
+    const auto unified = [&record](mem::HitLevel level) {
+        record(Event::kL2Access, 1.0);
+        if (level == mem::HitLevel::kL2)
+            return;
+        record(Event::kL2Miss, 1.0);
+        record(Event::kL3Access, 1.0);
+        if (level == mem::HitLevel::kL3)
+            return;
+        record(Event::kL3Miss, 1.0);
+    };
+    const auto walk = [this, &unified](std::uint16_t ptes) {
+        for (std::uint32_t j = walk_levels_; j-- > 0;)
+            unified(static_cast<mem::HitLevel>((ptes >> (2 * j)) & 3u));
+    };
 
-    if (warmup_reset_at_ != 0 && op_index_ == warmup_reset_at_) {
-        reset_counters();
-        warmup_reset_at_ = 0;
+    if (out.flags & kItlbWalk)
+        walk(out.itlb_ptes);
+    if (out.flags & kItlbL1Miss)
+        record(Event::kITlbL1Miss, 1.0);
+    if (out.flags & kItlbWalk)
+        record(Event::kITlbWalk, 1.0);
+    record(Event::kL1IAccess, 1.0);
+    if (out.fetch_level != mem::HitLevel::kL1) {
+        record(Event::kL1IMiss, 1.0);
+        unified(out.fetch_level);
     }
-    if (op_index_ == telemetry_next_op_)
-        telemetry_tick(false);
+    static constexpr Event kStallEvents[4] = {
+        Event::kFetchStallCycles, Event::kRatStallCycles,
+        Event::kRobFullStallCycles, Event::kRsFullStallCycles};
+    for (std::size_t k = 0; k < 4; ++k)
+        if (stalls[k] > 0.0)
+            record(kStallEvents[k], stalls[k]);
+    if (stalls[4] > 0.0)
+        record(op.cls == OpClass::kLoad ? Event::kLoadBufStallCycles
+                                        : Event::kStoreBufStallCycles,
+               stalls[4]);
+    if (op.cls == OpClass::kLoad || op.cls == OpClass::kStore) {
+        if (out.flags & kDtlbWalk)
+            walk(out.dtlb_ptes);
+        if (out.flags & kDtlbL1Miss)
+            record(Event::kDTlbL1Miss, 1.0);
+        if (out.flags & kDtlbWalk)
+            record(Event::kDTlbWalk, 1.0);
+        record(op.cls == OpClass::kLoad ? Event::kLoads : Event::kStores,
+               1.0);
+        record(Event::kL1DAccess, 1.0);
+        if (out.data_level != mem::HitLevel::kL1) {
+            record(Event::kL1DMiss, 1.0);
+            unified(out.data_level);
+        }
+    } else if (op.cls == OpClass::kBranch) {
+        record(Event::kBrRetired, 1.0);
+        if (out.flags & kMispredicted)
+            record(Event::kBrMispred, 1.0);
+    }
+    if (out.prefetch_fills != 0)
+        record(Event::kPrefetchFill,
+               static_cast<double>(out.prefetch_fills));
+    record(Event::kInstRetired, 1.0);
+    record(Event::kCycles, cycles);
 }
 
 // --- Interval sampling --------------------------------------------------

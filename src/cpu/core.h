@@ -48,6 +48,7 @@ class CoreStats
     }
 
     void add(Event e, double w) { values_[static_cast<std::size_t>(e)] += w; }
+    void set(Event e, double v) { values_[static_cast<std::size_t>(e)] = v; }
 
     double user_instructions = 0.0;
     double kernel_instructions = 0.0;
@@ -193,8 +194,47 @@ class Core final : public trace::OpSink
     void finish_observation();
 
   private:
-    /** The per-op pipeline model; non-virtual so batches inline it. */
-    void consume_one(const trace::MicroOp& op);
+    /**
+     * What the functional pass found for one op: everything the timing
+     * kernel and the PMU replay need from the caches, TLBs and branch
+     * unit, so the kernel itself calls none of them.
+     */
+    struct OpOutcome
+    {
+        /** ITLB + L1I-miss cycles, before the front end hides some. */
+        std::uint32_t fetch_penalty = 0;
+        /** DTLB + data-access cycles (load-to-use, or store drain). */
+        std::uint32_t data_latency = 0;
+        /** Prefetch fills since the previous timed op, and how many of
+            them came from memory. */
+        std::uint32_t prefetch_fills = 0;
+        std::uint32_t prefetch_mem_fills = 0;
+        /** Levels of a walk's PTE accesses, 2 bits each, last lowest. */
+        std::uint16_t itlb_ptes = 0;
+        std::uint16_t dtlb_ptes = 0;
+        std::uint8_t flags = 0;  ///< kItlbL1Miss ... kMispredicted
+        mem::HitLevel fetch_level = mem::HitLevel::kL1;
+        mem::HitLevel data_level = mem::HitLevel::kL1;
+    };
+    /** Ops per functional/timing chunk (the outcome buffer's size). */
+    static constexpr std::size_t kChunkOps = 256;
+
+    /**
+     * Run the caches, TLBs and branch unit over `n` ops, fill
+     * outcomes_, and add their unit-weight events to `counts`
+     * (kEventCount + user, kernel instructions).
+     */
+    void functional_pass(const trace::MicroOp* ops, std::size_t n,
+                         std::uint64_t* counts);
+    /** Timing of `n` ops from outcomes_; writes CoreStats back at the
+        end. Replays each op's PMU records when kPmu. */
+    template <bool kPmu, bool kResidence>
+    void timing_pass(const trace::MicroOp* ops, std::size_t n);
+    /** The PMU records of one op, in the order the model raises them. */
+    void replay_pmu(const trace::MicroOp& op, const OpOutcome& out,
+                    const double* stalls, double cycles);
+    /** Count the L2/L3 events of each PTE access of a walk. */
+    void count_walk(std::uint16_t ptes, std::uint64_t* counts) const;
 
     /** Functional warming for one warm op; non-virtual (batch-inlined). */
     void warm_one(const trace::MicroOp& op);
@@ -209,8 +249,10 @@ class Core final : public trace::OpSink
     void note(Event e, double w, trace::Mode mode);
     /** Record L2/L3 access+miss events for one beyond-L1 access. */
     void note_unified_levels(mem::HitLevel level, trace::Mode mode);
-    /** Page-walker PTE access that also records unified-cache events. */
+    /** Warm-path page-walker PTE access that notes its L2/L3 events. */
     std::uint32_t walker_access(std::uint64_t addr);
+    /** Timed-path PTE access: appends its level to walk_ptes_. */
+    std::uint32_t timed_walker_access(std::uint64_t addr);
 
     CoreConfig cfg_;
     mem::PageTable page_table_;
@@ -249,8 +291,6 @@ class Core final : public trace::OpSink
     std::array<double, kCompWindow> comp_{};
 
     std::uint64_t op_index_ = 0;
-    std::uint64_t load_count_ = 0;
-    std::uint64_t store_count_ = 0;
 
     // Ring cursors into the structural-resource rings. Ops arrive in
     // program order, so each cursor walks its ring sequentially; an
@@ -261,7 +301,11 @@ class Core final : public trace::OpSink
     std::size_t store_cursor_ = 0;
     std::uint64_t seen_prefetch_fills_ = 0;
     std::uint64_t seen_prefetch_mem_fills_ = 0;
-    trace::Mode cur_mode_ = trace::Mode::kUser;
+    trace::Mode cur_mode_ = trace::Mode::kUser;  ///< warm-path walker mode
+    std::uint32_t walk_levels_;  ///< PTE accesses per page walk
+    /** Levels of the running walk's PTE accesses (timed path). */
+    std::uint16_t walk_ptes_ = 0;
+    std::array<OpOutcome, kChunkOps> outcomes_{};
     /** Memory-bus cursor: next cycle a line transfer can start. */
     double mem_bus_time_ = 0.0;
     std::uint64_t warmup_reset_at_ = 0;

@@ -1,5 +1,6 @@
 #include "mem/cache.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/assert.h"
@@ -10,13 +11,15 @@ SetAssocCache::SetAssocCache(const CacheGeometry& geometry,
                              Replacement policy, std::uint64_t rng_seed)
     : geometry_(geometry), policy_(policy),
       line_shift_(std::countr_zero(geometry.line_bytes)),
-      num_sets_(geometry.num_sets()),
+      ways_(geometry.ways), num_sets_(geometry.num_sets()),
       pow2_sets_(std::has_single_bit(geometry.num_sets())),
-      set_div_(geometry.num_sets()), lines_(geometry.num_lines()),
-      rng_(rng_seed)
+      set_div_(geometry.num_sets()),
+      tags_(geometry.num_lines(), kNoTag),
+      stamps_(geometry.num_lines(), 0), rng_(rng_seed)
 {
     DCB_EXPECTS(std::has_single_bit(
         static_cast<std::uint64_t>(geometry.line_bytes)));
+    DCB_EXPECTS(geometry.line_bytes >= 2);  // keeps kNoTag unreachable
     DCB_EXPECTS(num_sets_ >= 1);
     if (pow2_sets_) {
         set_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_sets_));
@@ -44,50 +47,49 @@ SetAssocCache::tag_of(std::uint64_t line_addr) const
                       : set_div_.quot(line_addr);
 }
 
-SetAssocCache::Line*
-SetAssocCache::find_line(std::uint64_t set, std::uint64_t tag)
+std::size_t
+SetAssocCache::find_way(std::uint64_t set, std::uint64_t tag) const
 {
-    Line* base = &lines_[set * geometry_.ways];
-    for (std::uint32_t w = 0; w < geometry_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    }
-    return nullptr;
+    // A tag is resident in at most one way and empty ways never match,
+    // so a select over the whole row needs no early exit.
+    const std::size_t base = set * ways_;
+    const std::uint64_t* row = tags_.data() + base;
+    std::size_t way = kNoWay;
+    for (std::uint32_t w = 0; w < ways_; ++w)
+        way = row[w] == tag ? base + w : way;
+    return way;
 }
 
-SetAssocCache::Line*
-SetAssocCache::find(std::uint64_t addr)
+std::size_t
+SetAssocCache::find_way(std::uint64_t addr) const
 {
     const std::uint64_t line_addr = addr >> line_shift_;
-    return find_line(set_index(line_addr), tag_of(line_addr));
+    return find_way(set_index(line_addr), tag_of(line_addr));
 }
 
-const SetAssocCache::Line*
-SetAssocCache::find(std::uint64_t addr) const
+std::size_t
+SetAssocCache::lru_way(std::uint64_t set) const
 {
-    return const_cast<SetAssocCache*>(this)->find(addr);
+    // Argmin of the stamps, first index on ties: empty ways hold 0, so
+    // this is the first empty way when there is one.
+    const std::size_t base = set * ways_;
+    const std::uint64_t* row = stamps_.data() + base;
+    std::uint32_t best = 0;
+    std::uint64_t best_stamp = row[0];
+    for (std::uint32_t w = 1; w < ways_; ++w) {
+        const bool older = row[w] < best_stamp;
+        best = older ? w : best;
+        best_stamp = older ? row[w] : best_stamp;
+    }
+    return base + best;
 }
 
-SetAssocCache::Line*
-SetAssocCache::pick_victim(std::uint64_t set)
+void
+SetAssocCache::install(std::uint64_t set, std::uint64_t tag)
 {
-    Line* base = &lines_[set * geometry_.ways];
-    Line* victim = base;
-    if (policy_ == Replacement::kRandom) {
-        // Prefer an invalid way; otherwise evict at random.
-        for (std::uint32_t w = 0; w < geometry_.ways; ++w) {
-            if (!base[w].valid)
-                return &base[w];
-        }
-        return &base[rng_.next_below(geometry_.ways)];
-    }
-    for (std::uint32_t w = 0; w < geometry_.ways; ++w) {
-        if (!base[w].valid)
-            return &base[w];
-        if (base[w].lru < victim->lru)
-            victim = &base[w];
-    }
-    return victim;
+    const std::size_t way = lru_way(set);
+    tags_[way] = tag;
+    stamps_[way] = stamp_;
 }
 
 bool
@@ -96,71 +98,81 @@ SetAssocCache::access_slow(std::uint64_t line_addr)
     ++stamp_;
     const std::uint64_t set = set_index(line_addr);
     const std::uint64_t tag = tag_of(line_addr);
-    if (Line* line = find_line(set, tag)) {
-        line->lru = stamp_;
+    std::size_t way = find_way(set, tag);
+    const bool hit = way != kNoWay;
+    if (hit) {
+        stamps_[way] = stamp_;
         ++hits_;
-        memo_line_ = line;
-        memo_line_addr_ = line_addr;
-        return true;
+    } else {
+        ++misses_;
+        way = lru_way(set);
+        if (policy_ == Replacement::kRandom && stamps_[way] != 0) {
+            // No empty way: evict at random.
+            way = set * ways_ + rng_.next_below(ways_);
+        }
+        tags_[way] = tag;
+        stamps_[way] = stamp_;
     }
-    ++misses_;
-    Line* victim = pick_victim(set);
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lru = stamp_;
-    memo_line_ = victim;
     memo_line_addr_ = line_addr;
-    return false;
+    memo_way_ = way;
+    return hit;
 }
 
 bool
 SetAssocCache::probe(std::uint64_t addr) const
 {
-    return find(addr) != nullptr;
+    return find_way(addr) != kNoWay;
 }
 
-void
+bool
 SetAssocCache::fill(std::uint64_t addr)
 {
-    memo_line_ = nullptr;  // the fill may evict the memoized line
+    memo_line_addr_ = kNoTag;  // the fill may evict the memoized line
     ++stamp_;
     const std::uint64_t line_addr = addr >> line_shift_;
     const std::uint64_t set = set_index(line_addr);
     const std::uint64_t tag = tag_of(line_addr);
-    if (Line* line = find_line(set, tag)) {
-        line->lru = stamp_;
-        return;
+    const std::size_t way = find_way(set, tag);
+    if (way != kNoWay) {
+        stamps_[way] = stamp_;
+        return true;
     }
     // Prefetch fills always evict LRU, independent of the demand policy.
-    Line* base = &lines_[set * geometry_.ways];
-    Line* victim = base;
-    for (std::uint32_t w = 0; w < geometry_.ways; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].lru < victim->lru)
-            victim = &base[w];
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->lru = stamp_;
+    install(set, tag);
+    return false;
+}
+
+bool
+SetAssocCache::fill_if_absent(std::uint64_t addr)
+{
+    const std::uint64_t line_addr = addr >> line_shift_;
+    const std::uint64_t set = set_index(line_addr);
+    const std::uint64_t tag = tag_of(line_addr);
+    if (find_way(set, tag) != kNoWay)
+        return false;
+    memo_line_addr_ = kNoTag;
+    ++stamp_;
+    install(set, tag);
+    return true;
 }
 
 void
 SetAssocCache::invalidate(std::uint64_t addr)
 {
-    memo_line_ = nullptr;
-    if (Line* line = find(addr))
-        line->valid = false;
+    memo_line_addr_ = kNoTag;
+    const std::size_t way = find_way(addr);
+    if (way != kNoWay) {
+        tags_[way] = kNoTag;
+        stamps_[way] = 0;
+    }
 }
 
 void
 SetAssocCache::flush()
 {
-    memo_line_ = nullptr;
-    for (auto& line : lines_)
-        line.valid = false;
+    memo_line_addr_ = kNoTag;
+    std::fill(tags_.begin(), tags_.end(), kNoTag);
+    std::fill(stamps_.begin(), stamps_.end(), 0);
     stamp_ = 0;
 }
 

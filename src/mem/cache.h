@@ -11,6 +11,7 @@
  * address.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,13 +42,13 @@ class SetAssocCache
     bool access(std::uint64_t addr)
     {
         const std::uint64_t line_addr = addr >> line_shift_;
-        if (line_addr == memo_line_addr_ && memo_line_ != nullptr) {
+        if (line_addr == memo_line_addr_) {
             // The memoized line was the last one touched, so it is still
             // resident: only fill/invalidate/flush (which drop the memo)
             // or a demand eviction (which rewrites it) can displace it.
             ++stamp_;
             ++hits_;
-            memo_line_->lru = stamp_;
+            stamps_[memo_way_] = stamp_;
             return true;
         }
         return access_slow(line_addr);
@@ -60,8 +61,16 @@ class SetAssocCache
      * Insert a line without touching the demand hit/miss counters
      * (prefetch fill). An already-present line only has its recency
      * refreshed.
+     * @return true when the line was already present.
      */
-    void fill(std::uint64_t addr);
+    bool fill(std::uint64_t addr);
+
+    /**
+     * probe() and fill() in one set walk: install the line when absent;
+     * a present line keeps its recency, as after a bare probe.
+     * @return true when the line was installed.
+     */
+    bool fill_if_absent(std::uint64_t addr);
 
     /** Invalidate a single line if present. */
     void invalidate(std::uint64_t addr);
@@ -81,24 +90,26 @@ class SetAssocCache
     const CacheGeometry& geometry() const { return geometry_; }
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        std::uint64_t lru = 0;  ///< last-touch stamp (LRU policy)
-        bool valid = false;
-    };
+    /** Tag of an empty way. Lines are at least 2 bytes, so every real
+        tag is below 2^63 and never equals it. */
+    static constexpr std::uint64_t kNoTag = ~std::uint64_t{0};
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
 
     std::uint64_t set_index(std::uint64_t line_addr) const;
     std::uint64_t tag_of(std::uint64_t line_addr) const;
-    Line* find(std::uint64_t addr);
-    const Line* find(std::uint64_t addr) const;
-    Line* find_line(std::uint64_t set, std::uint64_t tag);
-    Line* pick_victim(std::uint64_t set);
+    /** Index of (set, tag) in the rows, kNoWay when absent. */
+    std::size_t find_way(std::uint64_t set, std::uint64_t tag) const;
+    std::size_t find_way(std::uint64_t addr) const;
+    /** First empty way of the set, else its least recently used. */
+    std::size_t lru_way(std::uint64_t set) const;
+    /** Install (set, tag) over lru_way(set) with the current stamp. */
+    void install(std::uint64_t set, std::uint64_t tag);
     bool access_slow(std::uint64_t line_addr);
 
     CacheGeometry geometry_;
     Replacement policy_;
     std::uint32_t line_shift_;
+    std::uint32_t ways_;
     std::uint64_t num_sets_;
     /**
      * Power-of-two set counts (every structure of the Table III machine
@@ -111,10 +122,19 @@ class SetAssocCache
     /** Reciprocal divmod for the non-pow2 fallback (12288-set L3):
         same index/tag as `%` and `/` without the per-access divide. */
     util::FastDiv set_div_;
-    std::vector<Line> lines_;  ///< sets * ways, row-major by set
-    /** Last line touched by access(); lines_ never reallocates. */
-    Line* memo_line_ = nullptr;
-    std::uint64_t memo_line_addr_ = ~std::uint64_t{0};
+    /**
+     * Struct-of-arrays rows, sets * ways, row-major by set. An empty
+     * way holds tag kNoTag and stamp 0; a resident line holds its tag
+     * and its last-touch stamp (>= 1, unique within the cache). So a
+     * tag match alone finds a line, and the smallest stamp of a set is
+     * its first empty way or else its LRU line.
+     */
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint64_t> stamps_;
+    /** Last line touched by access() (kNoTag when disarmed; line
+        addresses are below 2^63) and its row index. */
+    std::uint64_t memo_line_addr_ = kNoTag;
+    std::size_t memo_way_ = 0;
     std::uint64_t stamp_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

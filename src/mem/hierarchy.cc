@@ -1,5 +1,7 @@
 #include "mem/hierarchy.h"
 
+#include <bit>
+
 namespace dcb::mem {
 
 CacheHierarchy::CacheHierarchy(const MemoryConfig& config)
@@ -9,7 +11,9 @@ CacheHierarchy::CacheHierarchy(const MemoryConfig& config)
       l2_(config.l2, Replacement::kLru, 17),
       l3_(config.l3, Replacement::kLru, 19),
       data_prefetcher_(config.prefetch_table_entries,
-                       config.prefetch_degree, config.page_bytes)
+                       config.prefetch_degree, config.page_bytes),
+      line_shift_(static_cast<std::uint32_t>(
+          std::countr_zero(config.l1d.line_bytes)))
 {
     config_.validate();
 }
@@ -19,15 +23,24 @@ CacheHierarchy::prefetch_data(std::uint64_t addr)
 {
     std::uint64_t targets[StridePrefetcher::kMaxPrefetches];
     const std::uint32_t n = data_prefetcher_.observe(addr, targets);
+    // Targets step monotonically from the demand address, so the ones
+    // on the demand line (resident: the access just touched or filled
+    // it) form a prefix and repeats of any one line are adjacent. Each
+    // other line is probed and filled once; no fill of this call can
+    // displace the demand line before its prefix is skipped.
+    const std::uint32_t shift = line_shift_;
+    std::uint64_t last_line = addr >> shift;
     for (std::uint32_t i = 0; i < n; ++i) {
-        if (!l1d_.probe(targets[i])) {
-            if (!l3_.probe(targets[i]))
-                ++prefetch_memory_fills_;
-            l1d_.fill(targets[i]);
-            l2_.fill(targets[i]);
-            l3_.fill(targets[i]);
-            ++prefetch_fills_;
-        }
+        const std::uint64_t line = targets[i] >> shift;
+        if (line == last_line)
+            continue;
+        last_line = line;
+        if (!l1d_.fill_if_absent(targets[i]))
+            continue;
+        l2_.fill(targets[i]);
+        if (!l3_.fill(targets[i]))
+            ++prefetch_memory_fills_;
+        ++prefetch_fills_;
     }
 }
 
@@ -57,8 +70,7 @@ CacheHierarchy::fetch_miss(std::uint64_t addr)
     if (config_.enable_insn_prefetch) {
         // Next-line instruction prefetch: sequential fetch rarely re-misses.
         const std::uint64_t next = addr + config_.l1i.line_bytes;
-        if (!l1i_.probe(next)) {
-            l1i_.fill(next);
+        if (l1i_.fill_if_absent(next)) {
             l2_.fill(next);
             l3_.fill(next);
             ++prefetch_fills_;

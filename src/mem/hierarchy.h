@@ -131,6 +131,7 @@ class CacheHierarchy
     StridePrefetcher data_prefetcher_;
     std::uint64_t prefetch_fills_ = 0;
     std::uint64_t prefetch_memory_fills_ = 0;
+    std::uint32_t line_shift_;  ///< log2 of the L1D line size
 };
 
 }  // namespace dcb::mem

@@ -25,7 +25,7 @@ random_records(std::size_t n, std::uint64_t seed)
 }
 
 bool
-keys_sorted(const std::vector<SortRecord>& v, std::size_t n)
+keys_sorted(const SimVec<SortRecord>::Storage& v, std::size_t n)
 {
     for (std::size_t i = 1; i < n; ++i)
         if (v[i - 1].key > v[i].key)

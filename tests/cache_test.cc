@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <deque>
 #include <map>
 #include <tuple>
@@ -202,6 +203,222 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(8192ULL, 4u),
                       std::make_tuple(32768ULL, 8u),
                       std::make_tuple(12288ULL * 64, 16u)));  // non-pow2 sets
+
+/**
+ * The array-of-structs cache the struct-of-arrays rows replaced, kept
+ * verbatim (modulo indexing by `%` and `/`) as the reference model: an
+ * explicit valid bit per way, victim = first invalid way else the
+ * smallest stamp, random replacement drawing only when every way is
+ * valid, and fill_if_absent() as the probe-then-fill pair the hierarchy
+ * used to issue.
+ */
+class AosReferenceCache
+{
+  public:
+    AosReferenceCache(const CacheGeometry& g, Replacement policy,
+                      std::uint64_t rng_seed)
+        : ways_(g.ways), policy_(policy),
+          line_shift_(static_cast<std::uint32_t>(
+              std::countr_zero(g.line_bytes))),
+          num_sets_(g.num_sets()), lines_(g.num_lines()), rng_(rng_seed)
+    {
+    }
+
+    bool access(std::uint64_t addr)
+    {
+        ++stamp_;
+        const std::uint64_t line_addr = addr >> line_shift_;
+        const std::uint64_t set = line_addr % num_sets_;
+        const std::uint64_t tag = line_addr / num_sets_;
+        if (Line* line = find_line(set, tag)) {
+            line->lru = stamp_;
+            ++hits_;
+            return true;
+        }
+        ++misses_;
+        Line* victim = pick_victim(set);
+        victim->valid = true;
+        victim->tag = tag;
+        victim->lru = stamp_;
+        return false;
+    }
+
+    bool probe(std::uint64_t addr) { return find(addr) != nullptr; }
+
+    bool fill(std::uint64_t addr)
+    {
+        ++stamp_;
+        const std::uint64_t line_addr = addr >> line_shift_;
+        const std::uint64_t set = line_addr % num_sets_;
+        const std::uint64_t tag = line_addr / num_sets_;
+        if (Line* line = find_line(set, tag)) {
+            line->lru = stamp_;
+            return true;
+        }
+        Line* base = &lines_[set * ways_];
+        Line* victim = base;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (!base[w].valid) {
+                victim = &base[w];
+                break;
+            }
+            if (base[w].lru < victim->lru)
+                victim = &base[w];
+        }
+        victim->valid = true;
+        victim->tag = tag;
+        victim->lru = stamp_;
+        return false;
+    }
+
+    bool fill_if_absent(std::uint64_t addr)
+    {
+        if (probe(addr))
+            return false;
+        fill(addr);
+        return true;
+    }
+
+    void invalidate(std::uint64_t addr)
+    {
+        if (Line* line = find(addr))
+            line->valid = false;
+    }
+
+    void flush()
+    {
+        for (Line& line : lines_)
+            line.valid = false;
+        stamp_ = 0;
+    }
+
+    std::uint64_t hits() const { return hits_; }
+    std::uint64_t misses() const { return misses_; }
+
+  private:
+    struct Line
+    {
+        std::uint64_t tag = 0;
+        std::uint64_t lru = 0;
+        bool valid = false;
+    };
+
+    Line* find(std::uint64_t addr)
+    {
+        const std::uint64_t line_addr = addr >> line_shift_;
+        return find_line(line_addr % num_sets_, line_addr / num_sets_);
+    }
+
+    Line* find_line(std::uint64_t set, std::uint64_t tag)
+    {
+        Line* base = &lines_[set * ways_];
+        for (std::uint32_t w = 0; w < ways_; ++w)
+            if (base[w].valid && base[w].tag == tag)
+                return &base[w];
+        return nullptr;
+    }
+
+    Line* pick_victim(std::uint64_t set)
+    {
+        Line* base = &lines_[set * ways_];
+        Line* victim = base;
+        if (policy_ == Replacement::kRandom) {
+            for (std::uint32_t w = 0; w < ways_; ++w)
+                if (!base[w].valid)
+                    return &base[w];
+            return &base[rng_.next_below(ways_)];
+        }
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (!base[w].valid)
+                return &base[w];
+            if (base[w].lru < victim->lru)
+                victim = &base[w];
+        }
+        return victim;
+    }
+
+    std::uint32_t ways_;
+    Replacement policy_;
+    std::uint32_t line_shift_;
+    std::uint64_t num_sets_;
+    std::vector<Line> lines_;
+    std::uint64_t stamp_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    util::Rng rng_;
+};
+
+/**
+ * Seeded mixes of access, probe, fill, fill_if_absent, invalidate and
+ * flush against the reference model, under LRU and random replacement,
+ * on power-of-two geometries and the 12288-set L3. Every result must
+ * agree, and after every op so must the residency of the whole address
+ * pool, which pins every victim choice.
+ */
+TEST(Cache, MatchesReferenceModelForAnyOpMix)
+{
+    struct Case
+    {
+        CacheGeometry g;
+        Replacement policy;
+    };
+    const std::vector<Case> cases = {
+        {geometry(1024, 1), Replacement::kLru},
+        {geometry(4096, 4), Replacement::kLru},
+        {geometry(32768, 8), Replacement::kLru},
+        {geometry(32768, 8), Replacement::kRandom},
+        {geometry(256 * 4096, 4, 4096), Replacement::kLru},  // a TLB
+        {geometry(12288 * 64 * 16, 16), Replacement::kLru},  // Table III L3
+        {geometry(12288 * 64 * 2, 2), Replacement::kRandom},
+    };
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+        const CacheGeometry& g = cases[c].g;
+        SetAssocCache cache(g, cases[c].policy, 7 + c);
+        AosReferenceCache ref(g, cases[c].policy, 7 + c);
+        util::Rng rng(0xCAC4E + c);
+        // A pool of lines over a few sets, three times what they hold,
+        // plus far addresses (large tags) in the same sets.
+        const std::uint64_t sets = g.num_sets();
+        const std::uint32_t hot_sets = 5;
+        std::vector<std::uint64_t> pool;
+        for (std::uint64_t k = 0; k < 3ull * hot_sets * g.ways; ++k) {
+            const std::uint64_t set = rng.next_below(hot_sets) * 97 % sets;
+            const std::uint64_t tag = rng.next_bool(0.8)
+                                          ? rng.next_below(4 * g.ways)
+                                          : (rng.next_u64() >> 20);
+            pool.push_back((tag * sets + set) * g.line_bytes +
+                           rng.next_below(g.line_bytes));
+        }
+        for (int i = 0; i < 20'000; ++i) {
+            const std::uint64_t addr = pool[rng.next_below(pool.size())];
+            const std::uint64_t roll = rng.next_below(1000);
+            if (roll < 600) {
+                ASSERT_EQ(cache.access(addr), ref.access(addr))
+                    << "case " << c << " op " << i;
+            } else if (roll < 700) {
+                ASSERT_EQ(cache.probe(addr), ref.probe(addr));
+            } else if (roll < 820) {
+                ASSERT_EQ(cache.fill(addr), ref.fill(addr));
+            } else if (roll < 940) {
+                ASSERT_EQ(cache.fill_if_absent(addr),
+                          ref.fill_if_absent(addr));
+            } else if (roll < 999) {
+                cache.invalidate(addr);
+                ref.invalidate(addr);
+            } else {
+                cache.flush();
+                ref.flush();
+            }
+            for (const std::uint64_t a : pool)
+                ASSERT_EQ(cache.probe(a), ref.probe(a))
+                    << "case " << c << " op " << i << " addr " << a;
+        }
+        EXPECT_EQ(cache.hits(), ref.hits());
+        EXPECT_EQ(cache.misses(), ref.misses());
+        EXPECT_GT(cache.hits(), 500u);
+        EXPECT_GT(cache.misses(), 500u);
+    }
+}
 
 /**
  * The Table III L3 indexes 12288 sets through FastDiv instead of `%`;

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "cpu/core.h"
+#include "cpu/perf.h"
+#include "obs/time_series.h"
 #include "util/rng.h"
 
 namespace dcb::cpu {
@@ -261,6 +264,126 @@ TEST(Core, StoreBufferBackpressure)
         core.consume(op);
     }
     EXPECT_GT(core.stats().get(Event::kStoreBufStallCycles), 0.0);
+}
+
+/** A seeded op stream exercising every class, both modes, TLB walks,
+    memory misses, prefetch streams and mispredicts. */
+std::vector<MicroOp>
+mixed_stream(std::size_t n)
+{
+    util::Rng rng(2024);
+    std::vector<MicroOp> ops(n);
+    std::uint64_t pc = 0x400000;
+    std::uint64_t stream = 0x10000000;
+    for (MicroOp& op : ops) {
+        const std::uint64_t kind = rng.next_below(10);
+        op.cls = kind < 3   ? OpClass::kLoad
+                 : kind < 4 ? OpClass::kStore
+                 : kind < 6 ? OpClass::kBranch
+                 : kind < 7 ? OpClass::kFpu
+                 : kind < 9 ? OpClass::kAlu
+                            : OpClass::kNop;
+        op.mode = rng.next_bool(0.2) ? Mode::kKernel : Mode::kUser;
+        pc = rng.next_bool(0.05) ? 0x400000 + rng.next_below(8 << 20)
+                                 : pc + 4;
+        op.fetch_addr = pc;
+        if (rng.next_bool(0.5)) {
+            stream += 8;  // a unit-stride stream the prefetcher locks on
+            op.addr = stream;
+        } else {
+            op.addr = rng.next_below(256ULL << 20);
+        }
+        op.taken = rng.next_bool(0.6);
+        op.indirect = rng.next_bool(0.1);
+        op.branch_key = rng.next_below(512);
+        op.target_key = rng.next_below(4);
+        op.partial_reg = rng.next_bool(0.05);
+        op.src_regs = static_cast<std::uint8_t>(1 + rng.next_below(2));
+        op.dep_dist = static_cast<std::uint8_t>(rng.next_below(6));
+    }
+    return ops;
+}
+
+/** Everything a run observes, for exact comparison. */
+struct Observed
+{
+    std::vector<double> stats;
+    std::vector<double> pmu;
+    std::vector<double> rows;
+    std::vector<std::uint64_t> structures;
+};
+
+Observed
+run_in_batches(const std::vector<MicroOp>& ops, std::size_t batch)
+{
+    Core core = make_core();
+    core.pmu().configure_events(default_event_set(), 3001);
+    core.set_counter_reset_at(4999);
+    obs::TimeSeriesRecorder recorder(Core::telemetry_columns(),
+                                     Core::telemetry_additive());
+    core.set_telemetry(&recorder, 1237);
+    for (std::size_t i = 0; i < ops.size(); i += batch) {
+        const std::size_t n = std::min(batch, ops.size() - i);
+        if (batch == 1)
+            core.consume(ops[i]);
+        else
+            core.consume_batch(&ops[i], n);
+    }
+    core.finish_observation();
+
+    Observed o;
+    for (std::size_t e = 0; e < kEventCount; ++e)
+        o.stats.push_back(core.stats().get(static_cast<Event>(e)));
+    o.stats.push_back(core.stats().user_instructions);
+    o.stats.push_back(core.stats().kernel_instructions);
+    o.stats.push_back(core.cycles());
+    for (const PmuReading& r : core.pmu().readings()) {
+        o.pmu.push_back(r.raw);
+        o.pmu.push_back(r.enabled_instr);
+        o.pmu.push_back(r.scaled);
+    }
+    o.pmu.push_back(core.pmu().fixed_instructions());
+    o.pmu.push_back(core.pmu().fixed_cycles());
+    for (const obs::IntervalRow& row : recorder.rows()) {
+        o.rows.push_back(static_cast<double>(row.first_op));
+        o.rows.push_back(static_cast<double>(row.op_count));
+        o.rows.insert(o.rows.end(), row.values.begin(), row.values.end());
+    }
+    o.rows.insert(o.rows.end(), recorder.totals().begin(),
+                  recorder.totals().end());
+    const mem::CacheHierarchy& h = core.caches();
+    o.structures = {h.l1i_misses(), h.l1d_misses(),    h.l2_misses(),
+                    h.l3_misses(),  h.prefetch_fills(), core.itlb_walks(),
+                    core.dtlb_walks(), core.instructions()};
+    return o;
+}
+
+/**
+ * The functional pass and the timing kernel run per delivered chunk, and
+ * CoreStats is written back at chunk ends; none of that may show. One
+ * stream, delivered an op at a time and in batches of 7, 64 and 1000
+ * (the warm-up reset at op 4999 and every 1237-op telemetry row land
+ * mid-batch, the PMU multiplexes groups every 3001 instructions), must
+ * give bit-identical counters, PMU readings and telemetry rows.
+ */
+TEST(Core, BatchSplitInvariance)
+{
+    const std::vector<MicroOp> ops = mixed_stream(40'000);
+    const Observed one = run_in_batches(ops, 1);
+    EXPECT_GT(one.stats[static_cast<std::size_t>(Event::kDTlbWalk)], 0.0);
+    EXPECT_GT(one.stats[static_cast<std::size_t>(Event::kITlbWalk)], 0.0);
+    EXPECT_GT(one.stats[static_cast<std::size_t>(Event::kL3Miss)], 0.0);
+    EXPECT_GT(one.stats[static_cast<std::size_t>(Event::kPrefetchFill)],
+              0.0);
+    EXPECT_GT(one.stats[static_cast<std::size_t>(Event::kBrMispred)], 0.0);
+    EXPECT_GT(one.rows.size(), 20u * (kEventCount + 9));
+    for (const std::size_t batch : {7u, 64u, 1000u}) {
+        const Observed b = run_in_batches(ops, batch);
+        EXPECT_EQ(b.stats, one.stats) << "batch " << batch;
+        EXPECT_EQ(b.pmu, one.pmu) << "batch " << batch;
+        EXPECT_EQ(b.rows, one.rows) << "batch " << batch;
+        EXPECT_EQ(b.structures, one.structures) << "batch " << batch;
+    }
 }
 
 TEST(Core, DeterministicAcrossRuns)

@@ -98,6 +98,22 @@ TEST(Harness, UnknownWorkloadIsARecoverableError)
     EXPECT_NE(result.status.error.find("K-means"), std::string::npos);
 }
 
+TEST(Harness, ZeroBudgetIsARecoverableError)
+{
+    HarnessConfig config;
+    config.run.op_budget = 0;
+    config.run.warmup_ops = 0;
+    // Naive Bayes would trip its trained-documents precondition.
+    for (const char* name : {"Naive Bayes", "Sort"}) {
+        const RunResult result = run_workload(name, config);
+        EXPECT_FALSE(result.status.ok) << name;
+        EXPECT_NE(result.status.error.find("op budget"), std::string::npos)
+            << result.status.error;
+    }
+    const SuiteResult suite = run_suite({"K-means", "Grep"}, config);
+    EXPECT_EQ(suite.failure_count(), 2u);
+}
+
 TEST(Harness, SuiteIsolatesPerWorkloadFailures)
 {
     HarnessConfig config;
@@ -123,6 +139,97 @@ TEST(Harness, AllOkSuiteKeepsEveryReport)
     const SuiteResult suite = run_suite({"Sort", "Grep"}, config);
     EXPECT_TRUE(suite.all_ok());
     EXPECT_EQ(suite.reports().size(), 2u);
+}
+
+/** FNV-1a over the bytes of every CounterReport field. */
+class ReportHash
+{
+  public:
+    void mix(const void* p, std::size_t n)
+    {
+        const auto* b = static_cast<const unsigned char*>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h_ ^= b[i];
+            h_ *= 1099511628211ULL;
+        }
+    }
+    void mix_d(double v) { mix(&v, sizeof v); }
+    void mix_u(std::uint64_t v) { mix(&v, sizeof v); }
+    void mix_report(const cpu::CounterReport& r)
+    {
+        mix(r.workload.data(), r.workload.size());
+        mix_d(r.instructions);
+        mix_d(r.cycles);
+        mix_d(r.ipc);
+        mix_d(r.kernel_instr_fraction);
+        for (const double s : {r.stalls.fetch, r.stalls.rat, r.stalls.load,
+                               r.stalls.store, r.stalls.rs, r.stalls.rob})
+            mix_d(s);
+        mix_d(r.l1i_mpki);
+        mix_d(r.itlb_walk_pki);
+        mix_d(r.l2_mpki);
+        mix_d(r.l3_service_ratio);
+        mix_d(r.dtlb_walk_pki);
+        mix_d(r.branch_misprediction_ratio);
+        mix_u(r.sampled ? 1 : 0);
+        mix_u(r.sample_windows);
+        for (const double e : r.metric_stderr)
+            mix_d(e);
+    }
+    std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 1469598103934665603ULL;
+};
+
+/**
+ * The simulator's counterpart of the scheduler golden hash: every
+ * report field of all figure workloads at a small budget, exact,
+ * full-warming sampled, through the multiplexed PMU, and with interval
+ * telemetry armed (its rows hashed too). A change to the core, the
+ * cache/TLB/branch models or a generator that moves any counter shows
+ * up here; if intentional, re-pin and regenerate the figure CSVs and
+ * BENCH artifacts.
+ */
+TEST(Harness, SuiteReportGoldenHashIsPinned)
+{
+    HarnessConfig base;
+    base.run.op_budget = 100'000;
+    base.run.warmup_ops = 25'000;
+    base.jobs = 4;
+    HarnessConfig sampled = base;
+    sampled.sampling.ratio = 0.15;
+    sampled.sampling.full_warming = true;
+    HarnessConfig pmu = base;
+    pmu.use_pmu = true;
+    pmu.pmu_rotate_instr = 7'000;
+    HarnessConfig telemetry = base;
+    telemetry.telemetry.interval_ops = 9'000;
+
+    const std::vector<std::string>& names = workloads::figure_order();
+    ASSERT_EQ(names.size(), 26u);
+    ReportHash h;
+    std::uint64_t rows = 0;
+    for (const HarnessConfig* config : {&base, &sampled, &pmu, &telemetry}) {
+        const SuiteResult suite = run_suite(names, *config);
+        ASSERT_TRUE(suite.all_ok());
+        for (const RunResult& run : suite.runs) {
+            h.mix_report(run.report);
+            if (run.telemetry == nullptr)
+                continue;
+            for (const obs::IntervalRow& row : run.telemetry->rows()) {
+                h.mix_u(row.first_op);
+                h.mix_u(row.op_count);
+                for (const double v : row.values)
+                    h.mix_d(v);
+                ++rows;
+            }
+        }
+    }
+    EXPECT_GT(rows, 26u * 5u);  // telemetry ticks land in every run
+    EXPECT_EQ(h.value(), 0x7b7fde61efa99748ULL)
+        << "simulator output changed; if intentional, re-pin and "
+           "regenerate the figure CSVs and BENCH artifacts";
 }
 
 }  // namespace
