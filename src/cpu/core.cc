@@ -72,8 +72,8 @@ Core::Core(const CoreConfig& core_config,
     page_shift_ = static_cast<std::uint32_t>(
         std::countr_zero(memory_config.page_bytes));
     // Fast-forward page walks warm the unified caches; under full
-    // warming they also note the L2/L3 events the timed walker_access()
-    // path would, so full-stream event totals match exact mode.
+    // warming they also note the L2/L3 events a timed walk counts, so
+    // full-stream event totals match exact mode.
     const auto warm_pte = [this](std::uint64_t a) {
         if (warm_counts_events_)
             walker_access(a);
